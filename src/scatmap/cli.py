@@ -233,6 +233,7 @@ def cmd_tangency(args) -> int:
     if args.I is not None:
         scan = [args.I]
     else:
+        _check_grid(args.grid)
         scan = list(np.linspace(args.imin, args.imax, args.grid))
     for I in scan:
         info = tangency_points(params, float(I))

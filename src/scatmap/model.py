@@ -45,8 +45,9 @@ def wrap_signed(x: float) -> float:
 class ModelParams:
     """Coupling amplitudes and perturbation size.
 
-    a10 and a01 must both be nonzero: every scattering construction relies
-    on the ratio mu = a10/a01 being finite and nonzero.
+    Every field must be finite. a10 and a01 must both be nonzero: every
+    scattering construction relies on the ratio mu = a10/a01 being finite
+    and nonzero.
     """
 
     a00: float
@@ -55,6 +56,10 @@ class ModelParams:
     eps: float = 0.0
 
     def __post_init__(self):
+        for name in ("a00", "a10", "a01", "eps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.a01 == 0.0:
             raise ValueError("a01 must be nonzero (mu = a10/a01 must be finite)")
         if self.a10 == 0.0:

@@ -120,6 +120,13 @@ class TestTangency:
         assert code == 0
         assert len(out.strip().splitlines()) == 1  # header only
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_bad_scan_grid_is_config_error(self, capsys, grid):
+        code, out, err = run(capsys, "tangency", "--mu", "0.9", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "grid resolution must be >= 2" in err
+
 
 class TestOrbit:
     def test_short_highway_run(self, capsys):
@@ -168,6 +175,21 @@ class TestVerifyCommand:
         assert code == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("argv,field", [
+        (["regime", "--mu", "nan"], "a10"),
+        (["portrait", "--mu", "inf", "--grid", "4"], "a10"),
+        (["difftime", "--eps", "inf"], "eps"),
+        (["regime", "--a00=-inf"], "a00"),
+        (["regime", "--a01", "nan"], "a01"),
+    ])
+    def test_config_error_names_field(self, capsys, argv, field):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"configuration error: {field} must be finite" in err
 
 
 class TestConfigPrecedence:

@@ -48,6 +48,14 @@ class TestParams:
         with pytest.raises(ValueError):
             ModelParams(**bad)
 
+    @pytest.mark.parametrize("field", ["a00", "a10", "a01", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kw = dict(a00=0.0, a10=0.6, a01=1.0, eps=0.01)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams(**kw)
+
 
 class TestMelnikovPotential:
     def test_global_max_at_origin(self, p06):
