@@ -93,32 +93,41 @@ class _Writer:
         self.out_path = out_path
 
     def write(self, text: str, suffix: str = ""):
+        self.write_lines([text], suffix)
+
+    def write_lines(self, chunks, suffix: str = ""):
+        """Write the text chunks in turn, ending with one newline."""
         if self.out_path is None:
-            sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
+            self._write_to(sys.stdout, chunks)
             return
         path = self.out_path
         if suffix:
             stem, dot, ext = path.rpartition(".")
             path = f"{stem}.{suffix}.{ext}" if dot else f"{path}.{suffix}"
         with open(path, "w", encoding="utf-8") as fh:
+            self._write_to(fh, chunks)
+
+    @staticmethod
+    def _write_to(fh, chunks):
+        last = ""
+        for text in chunks:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            last = text or last
+        if not last.endswith("\n"):
+            fh.write("\n")
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
+def _csv_chunks(header: list[str], rows):
+    """CSV text in pieces, one per row: the header, then "\n" + each row."""
+    yield ",".join(header)
     for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines)
+        yield "\n" + ",".join(fmt(v) if isinstance(v, float) else str(v) for v in row)
 
 
 def _emit(args, writer: _Writer, header: list[str], rows: list[list],
           json_key: str):
     if args.format == "csv":
-        writer.write(_csv(header, rows))
+        writer.write_lines(_csv_chunks(header, rows))
     else:
         payload = [dict(zip(header, row)) for row in rows]
         writer.write(json.dumps({json_key: payload}, indent=2))
@@ -187,8 +196,14 @@ def cmd_portrait(args) -> int:
         levels = list(np.linspace(finite.min(), finite.max(), args.nlevels + 2)[1:-1])
 
     writer = _Writer(args.out)
-    grid_rows = [[float(I_vals[i]), float(th_vals[j]), float(Z[i, j])]
-                 for i in range(n) for j in range(n)]
+    th_list = th_vals.tolist()
+
+    def grid_rows():
+        # rows are made as they are written, never all held: there are n*n
+        for I, z_row in zip(I_vals.tolist(), Z):
+            for theta, z in zip(th_list, z_row.tolist()):
+                yield [I, theta, z]
+
     contour_rows = []
     for level in levels:
         polys = contour_polylines(th_vals, I_vals, Z, level)
@@ -198,19 +213,19 @@ def cmd_portrait(args) -> int:
 
     if args.format == "json":
         writer.write(json.dumps({
-            "grid": [dict(zip(["I", "theta", "value"], r)) for r in grid_rows],
+            "grid": [dict(zip(["I", "theta", "value"], r)) for r in grid_rows()],
             "contours": [dict(zip(["level", "polyline", "vertex", "I", "theta"], r))
                          for r in contour_rows],
         }, indent=2))
         return 0
-    writer.write(_csv(["I", "theta", "value"], grid_rows))
+    writer.write_lines(_csv_chunks(["I", "theta", "value"], grid_rows()))
     if levels:
-        text = _csv(["level", "polyline", "vertex", "I", "theta"], contour_rows)
+        text = _csv_chunks(["level", "polyline", "vertex", "I", "theta"], contour_rows)
         if args.out is None:
             sys.stdout.write("\n")
-            writer.write(text)
+            writer.write_lines(text)
         else:
-            writer.write(text, suffix="contours")
+            writer.write_lines(text, suffix="contours")
     return 0
 
 

@@ -27,7 +27,6 @@ from .errors import (
     DegenerateAction,
     NoCrossing,
     NotInDomain,
-    ScatmapError,
     StalledProgress,
     TangencyPoint,
 )
@@ -44,8 +43,11 @@ from .scattering import (
     Branch,
     CrestBranch,
     ReducedPoint,
+    TauStar,
+    _check_tangency,
+    _grad_at_crossing,
+    _tau_stars,
     grad_reduced_poincare,
-    tau_star,
 )
 
 # inner legs cannot steer theta when the rotor barely turns
@@ -166,26 +168,41 @@ def _inner_retarget(I: float, theta: float, theta_target: float,
 @lru_cache(maxsize=128)
 def _region_constants(params: ModelParams, I_lo: float, I_hi: float,
                       grid_n: int = 25) -> tuple[float, float]:
-    """(L, K): max gradient norm and max Hessian norm over a phase-space grid."""
+    """(L, K): max gradient norm and max Hessian norm over a phase-space grid.
+
+    Each grid cell takes the gradient at five points (the cell and its
+    central-difference stencil); the crossings of all of them come from one
+    kernel call, and a cell is skipped where any of its five gradients is
+    undefined.
+    """
     h = 1e-5
+    I = np.repeat(np.linspace(I_lo, I_hi, grid_n), grid_n)
+    theta = np.tile(np.linspace(0.0, TWO_PI, grid_n, endpoint=False), grid_n)
+    I_pts = np.stack([I, I + h, I - h, I, I], axis=1).ravel()
+    th_pts = np.stack([theta, theta, theta, theta + h, theta - h], axis=1).ravel()
+    stars = _tau_stars(params, I_pts, th_pts, 0.0)
+
+    def grad(k: int, ts: TauStar) -> tuple[float, float]:
+        _check_tangency(params, float(I_pts[k]), ts.psi)
+        return _grad_at_crossing(params, float(I_pts[k]), ts)
+
     L = 0.0
     K = 0.0
-    for I in np.linspace(I_lo, I_hi, grid_n):
-        for theta in np.linspace(0.0, TWO_PI, grid_n, endpoint=False):
-            try:
-                gi, gt = grad_reduced_poincare(params, float(I), float(theta))
-                gi_p, gt_p = grad_reduced_poincare(params, float(I) + h, float(theta))
-                gi_m, gt_m = grad_reduced_poincare(params, float(I) - h, float(theta))
-                gi_tp, gt_tp = grad_reduced_poincare(params, float(I), float(theta) + h)
-                gi_tm, gt_tm = grad_reduced_poincare(params, float(I), float(theta) - h)
-            except ScatmapError:
-                continue
-            L = max(L, math.hypot(gi, gt))
-            hess = np.array([
-                [(gi_p - gi_m) / (2 * h), (gi_tp - gi_tm) / (2 * h)],
-                [(gt_p - gt_m) / (2 * h), (gt_tp - gt_tm) / (2 * h)],
-            ])
-            K = max(K, float(np.linalg.norm(hess, 2)))
+    for k in range(0, len(I_pts), 5):
+        cell = [next(stars) for _ in range(5)]
+        if not all(isinstance(ts, TauStar) for ts in cell):
+            continue
+        try:
+            (gi, gt), (gi_p, gt_p), (gi_m, gt_m), (gi_tp, gt_tp), (gi_tm, gt_tm) = \
+                [grad(k + j, ts) for j, ts in enumerate(cell)]
+        except TangencyPoint:
+            continue
+        L = max(L, math.hypot(gi, gt))
+        hess = np.array([
+            [(gi_p - gi_m) / (2 * h), (gi_tp - gi_tm) / (2 * h)],
+            [(gt_p - gt_m) / (2 * h), (gt_tp - gt_tm) / (2 * h)],
+        ])
+        K = max(K, float(np.linalg.norm(hess, 2)))
     return L, K
 
 
@@ -341,14 +358,9 @@ def _admissible_window(params: ModelParams, I: float) -> tuple[float, float]:
     if info is not None:
         return wrap_angle(info.theta2), TWO_PI
     # vertical crest ("holes"): sample admissible theta near the top arc
-    good: list[float] = []
-    for theta in np.linspace(math.pi, TWO_PI, 257):
-        try:
-            ts = tau_star(params, I, float(theta))
-        except ScatmapError:
-            continue
-        if math.pi < ts.psi < TWO_PI:
-            good.append(float(theta))
+    thetas = np.linspace(math.pi, TWO_PI, 257).tolist()
+    good = [theta for theta, ts in zip(thetas, _tau_stars(params, I, thetas, 0.0))
+            if isinstance(ts, TauStar) and math.pi < ts.psi < TWO_PI]
     if not good:
         raise BranchUnavailable(f"no admissible torus line found at I = {I!r}")
     return min(good), max(good)

@@ -9,10 +9,17 @@ with cos(sigma) >= 0 (the minimum crest takes cos(sigma) <= 0).  The crossing
 with smallest |tau| (tau = -sigma for the theta-anchored segment) defines the
 primary map; inside a tangency band three crossings coexist and are told
 apart by which psi-interval (branch A/B/C) they fall in.
+
+One crossing kernel, _crossings, serves every scalar-path caller and takes
+many points at once: tau_star_full is a batch of one, and the bulk callers
+(the error-bound constants, the admissible-window scan, the mu-flip
+symmetry check) make one call each.  The portrait grid (gridkernels) keeps
+its own coarser scan.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -49,6 +56,8 @@ from .model import (
 
 # sigma sampling step for the crossing scan (half-window pi is split in 200)
 _SCAN_STEP = math.pi / 200.0
+# points the crossing kernel scans at once; bounds its scan arrays (50 kB)
+_CHUNK = 32
 # reject gradients closer to a tangency than this in |d theta / d psi|
 _TANGENCY_GUARD = 1e-6
 
@@ -95,69 +104,108 @@ def _sigma_window(crest: CrestBranch) -> tuple[float, float]:
     return (math.pi / 2.0, 3.0 * math.pi / 2.0)
 
 
-def _crossings(params: ModelParams, I: float, phi: float, s: float,
-               crest: CrestBranch) -> list[float]:
-    """All sigma in the crest window with c(sigma) = 0, tolerance 1e-12.
+def _crest_fn(sig: float, a: float, phi: float, I: float, s: float) -> float:
+    """c(sigma) of one segment; brentq refines every root with it."""
+    return a * math.sin(phi + I * (sig - s)) + math.sin(sig)
 
-    The coarse scan uses the standard step; cells holding a grazing pair
-    (local |c| minimum without sign change) are rescanned finely so that
-    near-tangency double roots are not dropped.
+
+def _crossings(params: ModelParams, I, phi, s,
+               crest: CrestBranch) -> Iterator[list[float]]:
+    """Every sigma in the crest window with c(sigma) = 0, tolerance 1e-12,
+    for each point (I[k], phi[k], s[k]) of the arrays; the one crossing kernel.
+
+    Yields each point's sorted roots in turn.  The coarse scan runs with
+    numpy over _CHUNK points at a time, and the next chunk is scanned only
+    once this one is consumed, so nothing is held for all points at once.
+    Each bracket is refined by brentq on the scalar c.  Cells holding a
+    grazing pair (local |c| minimum without sign change) are rescanned
+    finely so that near-tangency double roots are not dropped.
 
     While the crest is horizontal its component through (0, 0) is exactly
     the graph covered by the maximum sigma-window.  Once it turns vertical
     (|mu*alpha| > 1) that window also picks up points of the other
     component, which sits in the cos(psi) < 0 half; those are filtered
-    out, and the thetas left without any admissible root are the holes.
+    out, and the points left without any admissible root are the holes.
     """
-    a = crest_coefficient(params, I)
+    I, phi, s = _points(I, phi, s)
     lo, hi = _sigma_window(crest)
-
-    def c(sig: float) -> float:
-        return a * math.sin(phi + I * (sig - s)) + math.sin(sig)
-
     n = max(8, int(math.ceil((hi - lo) / _SCAN_STEP)))
     xs = np.linspace(lo, hi, n + 1)
-    vs = np.array([c(x) for x in xs])
+    coeff: dict[float, float] = {}   # crest coefficient of each distinct I
+    for start in range(0, len(I), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        actions = I[part].tolist()
+        for v in actions:
+            if v not in coeff:
+                coeff[v] = crest_coefficient(params, v)
+        a = np.array([coeff[v] for v in actions])
+        yield from _crossings_chunk(a, I[part], phi[part], s[part], xs, crest)
 
-    roots: list[float] = []
 
-    def refine(x0: float, x1: float):
-        r = brentq(c, x0, x1, xtol=1e-15)
-        if abs(c(r)) <= 1e-12:
-            roots.append(r)
+def _points(I, phi, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scalars or 1-D arrays broadcast to three 1-D float arrays (views)."""
+    return tuple(np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                       for v in (I, phi, s))))
 
-    for i in range(n):
-        if vs[i] == 0.0:
-            roots.append(xs[i])
-        elif vs[i] * vs[i + 1] < 0.0:
-            refine(xs[i], xs[i + 1])
-    if vs[-1] == 0.0:
-        roots.append(xs[-1])
+
+def _crossings_chunk(a, I, phi, s, xs, crest: CrestBranch) -> list[list[float]]:
+    """_crossings for one chunk of points; a holds each point's crest coefficient."""
+    def scan(k, x):
+        # c(x) for the points k, with the operation order of _crest_fn,
+        # in place so that a chunk holds one scan-sized array at a time
+        c = x - s[k, None]
+        c *= I[k, None]
+        c += phi[k, None]
+        np.sin(c, out=c)
+        c *= a[k, None]
+        c += np.sin(x)
+        return c
+
+    every = np.arange(len(I))
+    vs = scan(every, xs[None, :])
+    args = list(zip(a.tolist(), phi.tolist(), I.tolist(), s.tolist()))
+    roots: list[list[float]] = [[] for _ in args]
+
+    def refine(k: int, x0: float, x1: float):
+        r = brentq(_crest_fn, x0, x1, args=args[k], xtol=1e-15)
+        if abs(_crest_fn(r, *args[k])) <= 1e-12:
+            roots[k].append(r)
+
+    for k, i in zip(*np.nonzero(vs == 0.0)):
+        roots[k].append(xs[i])
+    for k, i in zip(*np.nonzero(vs[:, :-1] * vs[:, 1:] < 0.0)):
+        refine(k, xs[i], xs[i + 1])
 
     # grazing pairs: interior local minima of |c| below a coarse threshold
+    # (the mask is built term by term to hold one float temporary at a time)
     absv = np.abs(vs)
-    for i in range(1, n):
-        if absv[i] < 2e-3 and absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1]:
-            if vs[i - 1] * vs[i] > 0.0 and vs[i] * vs[i + 1] > 0.0:
-                sub = np.linspace(xs[i - 1], xs[i + 1], 257)
-                sv = np.array([c(x) for x in sub])
-                for j in range(256):
-                    if sv[j] * sv[j + 1] < 0.0:
-                        refine(sub[j], sub[j + 1])
-                    elif sv[j] == 0.0:
-                        roots.append(sub[j])
+    inner, abs_inner = vs[:, 1:-1], absv[:, 1:-1]
+    graze = abs_inner < 2e-3
+    graze &= abs_inner <= absv[:, :-2]
+    graze &= abs_inner <= absv[:, 2:]
+    graze &= vs[:, :-2] * inner > 0.0
+    graze &= inner * vs[:, 2:] > 0.0
+    gk, gi = np.nonzero(graze)
+    if gk.size:
+        sub = np.linspace(xs[gi], xs[gi + 2], 257, axis=1)
+        sv = scan(gk, sub)
+        for r, j in zip(*np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)):
+            refine(gk[r], sub[r, j], sub[r, j + 1])
+        for r, j in zip(*np.nonzero(sv[:, :-1] == 0.0)):
+            roots[gk[r]].append(sub[r, j])
 
-    roots.sort()
-    dedup: list[float] = []
-    for r in roots:
-        if not dedup or abs(r - dedup[-1]) > 1e-10:
-            dedup.append(r)
-
-    if abs(a) > 1.0:
-        want_positive = crest is CrestBranch.MAXIMUM
-        dedup = [r for r in dedup
-                 if (math.cos(phi + I * (r - s)) > 0.0) == want_positive]
-    return dedup
+    want_positive = crest is CrestBranch.MAXIMUM
+    for k, (ak, phik, Ik, sk) in enumerate(args):
+        found = sorted(roots[k])
+        dedup: list[float] = []
+        for r in found:
+            if not dedup or abs(r - dedup[-1]) > 1e-10:
+                dedup.append(r)
+        if abs(ak) > 1.0:
+            dedup = [r for r in dedup
+                     if (math.cos(phik + Ik * (r - sk)) > 0.0) == want_positive]
+        roots[k] = dedup
+    return roots
 
 
 @lru_cache(maxsize=4096)
@@ -181,9 +229,8 @@ def _in_intervals(x: float, intervals: tuple[tuple[float, float], ...], tol: flo
     return any(lo - tol <= x <= hi + tol for lo, hi in intervals)
 
 
-def _check_singular(params: ModelParams, I: float):
-    if abs(abs(crest_coefficient(params, I)) - 1.0) <= 1e-12:
-        raise SingularCrest(f"crest is singular at I = {I!r}")
+def _is_singular(params: ModelParams, I: float) -> bool:
+    return abs(abs(crest_coefficient(params, I)) - 1.0) <= 1e-12
 
 
 def _select_crossing(params: ModelParams, I: float, phi: float, s: float,
@@ -205,6 +252,38 @@ def _select_crossing(params: ModelParams, I: float, phi: float, s: float,
     return min(candidates, key=lambda sig: (abs(s - sig), s - sig))
 
 
+def _tau_stars(params: ModelParams, I, phi, s,
+               crest: CrestBranch = CrestBranch.MAXIMUM,
+               branch: Branch = Branch.SINGLE) -> Iterator[TauStar | ScatmapError]:
+    """tau_star_full at each point (I[k], phi[k], s[k]) in turn, from one
+    kernel call; where tau_star_full would raise, the exception is yielded.
+    """
+    # reduce each anchor's s into the window (-pi/2, 3*pi/2]
+    s = [v - TWO_PI if v > 1.5 * math.pi else v
+         for v in map(wrap_angle, np.atleast_1d(np.asarray(s, dtype=float)).tolist())]
+    I, phi, s = _points(I, phi, s)
+    # the kernel also scans singular points; their roots are not used
+    for k, sigmas in enumerate(_crossings(params, I, phi, s, crest)):
+        Ik, phik, sk = float(I[k]), float(phi[k]), float(s[k])
+        if _is_singular(params, Ik):
+            yield SingularCrest(f"crest is singular at I = {Ik!r}")
+            continue
+        if not sigmas:
+            yield NoCrossing(
+                f"segment through (I={Ik!r}, phi={phik!r}, s={sk!r}) misses the "
+                f"{crest.value} crest"
+            )
+            continue
+        try:
+            sig = _select_crossing(params, Ik, phik, sk, sigmas, branch)
+        except BranchUnavailable as exc:
+            yield exc
+            continue
+        tau = sk - sig
+        yield TauStar(tau=tau, psi=wrap_angle(phik - Ik * tau), sigma=sig,
+                      crest=crest, branch=branch)
+
+
 def tau_star_full(params: ModelParams, I: float, phi: float, s: float,
                   crest: CrestBranch = CrestBranch.MAXIMUM,
                   branch: Branch = Branch.SINGLE) -> TauStar:
@@ -216,20 +295,10 @@ def tau_star_full(params: ModelParams, I: float, phi: float, s: float,
     reduced into that window, so a point already on a crest reports tau = 0
     regardless of how its time angle was stored.
     """
-    _check_singular(params, I)
-    s = wrap_angle(s)
-    if s > 1.5 * math.pi:
-        s -= TWO_PI
-    sigmas = _crossings(params, I, phi, s, crest)
-    if not sigmas:
-        raise NoCrossing(
-            f"segment through (I={I!r}, phi={phi!r}, s={s!r}) misses the "
-            f"{crest.value} crest"
-        )
-    sig = _select_crossing(params, I, phi, s, sigmas, branch)
-    tau = s - sig
-    return TauStar(tau=tau, psi=wrap_angle(phi - I * tau), sigma=sig,
-                   crest=crest, branch=branch)
+    ts, = _tau_stars(params, I, phi, s, crest, branch)
+    if isinstance(ts, ScatmapError):
+        raise ts
+    return ts
 
 
 def tau_star(params: ModelParams, I: float, theta: float,
@@ -263,6 +332,8 @@ def _grad_at_crossing(params: ModelParams, I: float, ts: TauStar) -> tuple[float
     The crossing condition kills every d tau/d(I, theta) term, leaving
       d/dtheta = -A10(I) sin(psi),
       d/dI     =  A10'(I) cos(psi) + tau * A10(I) * sin(psi).
+    The identity is exact; tests and `scatmap verify` check it against
+    finite_diff_grad in every regime.
     """
     a10 = amp_A10(params, I)
     sin_psi = math.sin(ts.psi)
@@ -280,32 +351,6 @@ def finite_diff_grad(params: ModelParams, I: float, theta: float,
     d_i = (f(I + h, theta) - f(I - h, theta)) / (2.0 * h)
     d_theta = (f(I, theta + h) - f(I, theta - h)) / (2.0 * h)
     return d_i, d_theta
-
-
-@lru_cache(maxsize=64)
-def _closed_form_grad_valid(params: ModelParams) -> bool:
-    """One-off validation of the envelope gradient against finite differences.
-
-    The d/dI closed form rests on the crest condition cancelling every
-    d(tau)/dI term, so it is checked per parameter set before being trusted;
-    on failure callers fall back to finite differences.
-    """
-    probes = 0
-    for I in (0.35, 0.8, 1.3, 2.1, 2.8):
-        for theta in (0.7, 2.1, 3.9, 5.5):
-            try:
-                ts = tau_star(params, I, theta)
-                if abs(dtheta_dpsi_at(params, I, ts.psi)) < 1e-3:
-                    continue
-                gi, gt = _grad_at_crossing(params, I, ts)
-                fi, ft = finite_diff_grad(params, I, theta)
-            except ScatmapError:
-                continue
-            probes += 1
-            if (abs(gi - fi) > 1e-4 * (1.0 + abs(gi))
-                    or abs(gt - ft) > 1e-4 * (1.0 + abs(gt))):
-                return False
-    return probes > 0
 
 
 def dtheta_dpsi_at(params: ModelParams, I: float, psi: float,
@@ -329,13 +374,16 @@ def grad_reduced_poincare(params: ModelParams, I: float, theta: float,
     locus, where the crossing time ceases to be differentiable.
     """
     ts = tau_star(params, I, theta, crest, branch)
-    if abs(dtheta_dpsi_at(params, I, ts.psi, crest)) < _TANGENCY_GUARD:
+    _check_tangency(params, I, ts.psi, crest)
+    return _grad_at_crossing(params, I, ts)
+
+
+def _check_tangency(params: ModelParams, I: float, psi: float,
+                    crest: CrestBranch = CrestBranch.MAXIMUM):
+    if abs(dtheta_dpsi_at(params, I, psi, crest)) < _TANGENCY_GUARD:
         raise TangencyPoint(
             f"gradient undefined near tangency: |d theta/d psi| < {_TANGENCY_GUARD}"
         )
-    if _closed_form_grad_valid(params):
-        return _grad_at_crossing(params, I, ts)
-    return finite_diff_grad(params, I, theta, crest, branch)
 
 
 def scattering_step(params: ModelParams, pt: ReducedPoint,
@@ -360,7 +408,7 @@ def scattering_branches(params: ModelParams, I: float, theta: float,
     info = tangency_points(params, I)
     if coeff > 1.0:
         # vertical crest: a crossing may or may not exist at this theta
-        sigmas = _crossings(params, I, theta, 0.0, crest)
+        sigmas, = _crossings(params, I, theta, 0.0, crest)
         avail = (Branch.SINGLE,) if sigmas else ()
         return BranchSet(available=avail, domains={}, tangency=None)
     if info is None:
@@ -386,35 +434,32 @@ class SymmetryReport:
         return max(self.max_discrepancy_I, self.max_discrepancy_phi)
 
 
-def _full_coordinates_step(params: ModelParams, I: float, phi: float, s: float,
-                           crest: CrestBranch) -> tuple[float, float]:
-    """Truncated scattering map in (I, phi, s) coordinates (s is a parameter)."""
-    ts = tau_star_full(params, I, phi, s, crest)
-    a10 = amp_A10(params, I)
-    sin_psi = math.sin(ts.psi)
-    d_phi = -a10 * sin_psi
-    d_i = amp_A10_deriv(params, I) * math.cos(ts.psi) + ts.tau * a10 * sin_psi
-    return I + params.eps * d_phi, phi - params.eps * d_i
-
-
 def symmetry_check_mu(params: ModelParams, n: int = 20,
                       I_range: tuple[float, float] = (0.1, 2.0)) -> SymmetryReport:
     """Verify that the minimum-crest map at s = pi equals the maximum-crest
     map at s = 0 with the sign of mu flipped (via a01 -> -a01).
 
-    Returns the maximum componentwise discrepancy over an n-by-n grid.
+    Returns the maximum componentwise discrepancy over an n-by-n grid; the
+    truncated map in (I, phi, s) coordinates (s a parameter) is
+    (I + eps*dL/dphi, phi - eps*dL/dI) at the crossing of each side.
     """
     flipped = replace(params, a01=-params.a01)
+    I = np.repeat(np.linspace(I_range[0], I_range[1], n), n)
+    phi = np.tile(np.linspace(0.0, TWO_PI, n, endpoint=False), n)
+    left = _tau_stars(params, I, phi, math.pi, CrestBranch.MINIMUM)
+    right = _tau_stars(flipped, I, phi, 0.0, CrestBranch.MAXIMUM)
     max_di = 0.0
     max_dphi = 0.0
-    for I in np.linspace(I_range[0], I_range[1], n):
-        for phi in np.linspace(0.0, TWO_PI, n, endpoint=False):
-            left = _full_coordinates_step(params, float(I), float(phi), math.pi,
-                                          CrestBranch.MINIMUM)
-            right = _full_coordinates_step(flipped, float(I), float(phi), 0.0,
-                                           CrestBranch.MAXIMUM)
-            max_di = max(max_di, abs(left[0] - right[0]))
-            max_dphi = max(max_dphi, abs(left[1] - right[1]))
+    for Ik, phik, ts_left, ts_right in zip(I.tolist(), phi.tolist(), left, right):
+        steps = []
+        for p, ts in ((params, ts_left), (flipped, ts_right)):
+            if isinstance(ts, ScatmapError):
+                raise ts
+            d_i, d_phi = _grad_at_crossing(p, Ik, ts)
+            steps.append((Ik + p.eps * d_phi, phik - p.eps * d_i))
+        (left_i, left_phi), (right_i, right_phi) = steps
+        max_di = max(max_di, abs(left_i - right_i))
+        max_dphi = max(max_dphi, abs(left_phi - right_phi))
     return SymmetryReport(grid_shape=(n, n), max_discrepancy_I=max_di,
                           max_discrepancy_phi=max_dphi)
 

@@ -78,6 +78,20 @@ class TestPortrait:
         header = contours.read_text().splitlines()[0]
         assert header == "level,polyline,vertex,I,theta"
 
+    def test_files_equal_stdout_text(self, tmp_path, capsys):
+        # the grid is streamed to --out row by row; the text must be the one
+        # stdout gets, where a blank line separates grid and contours
+        args = ["portrait", "--mu", "1.5", "--grid", "23", "--nlevels", "3"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        out_file = tmp_path / "portrait.csv"
+        code, _, _ = run(capsys, *args, "--out", str(out_file))
+        assert code == 0
+        grid = out_file.read_text()
+        contours = (tmp_path / "portrait.contours.csv").read_text()
+        assert grid.count("\n") == 1 + 23 * 23 and "nan" in grid
+        assert out == grid + "\n" + contours
+
 
 class TestHighways:
     def test_csv_residuals(self, capsys):

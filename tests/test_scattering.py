@@ -3,22 +3,119 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import brentq
 
 import scatmap.scattering as sc
 from scatmap import ModelParams
 from scatmap.crests import CrestBranch, tangency_points, theta_of_psi, xi
-from scatmap.errors import NoCrossing, SingularCrest, TangencyPoint
+from scatmap.errors import (
+    BranchUnavailable,
+    NoCrossing,
+    ScatmapError,
+    SingularCrest,
+    TangencyPoint,
+)
 from scatmap.model import (
     TWO_PI,
     amp_A00,
     amp_A01,
     amp_A10,
+    amp_A10_deriv,
     crest_coefficient,
     wrap_angle,
     wrap_signed,
 )
 
 MAX, MIN = CrestBranch.MAXIMUM, CrestBranch.MINIMUM
+MUS = (0.6, 0.9, 1.5)   # single map, tangency, holes
+
+
+def ref_crossings(params, I, phi, s, crest):
+    """The per-point scan the crossing kernel replaced, kept as its reference.
+
+    Python-loop scan over the sigma samples, brentq on each bracket, a fine
+    rescan of each grazing-pair cell, dedup and the cos(psi) filter.
+    """
+    a = crest_coefficient(params, I)
+    lo, hi = ((-math.pi / 2.0, math.pi / 2.0) if crest is MAX
+              else (math.pi / 2.0, 3.0 * math.pi / 2.0))
+
+    def c(sig):
+        return a * math.sin(phi + I * (sig - s)) + math.sin(sig)
+
+    n = max(8, int(math.ceil((hi - lo) / sc._SCAN_STEP)))
+    xs = np.linspace(lo, hi, n + 1)
+    vs = np.array([c(x) for x in xs])
+    roots = []
+
+    def refine(x0, x1):
+        r = brentq(c, x0, x1, xtol=1e-15)
+        if abs(c(r)) <= 1e-12:
+            roots.append(r)
+
+    for i in range(n):
+        if vs[i] == 0.0:
+            roots.append(xs[i])
+        elif vs[i] * vs[i + 1] < 0.0:
+            refine(xs[i], xs[i + 1])
+    if vs[-1] == 0.0:
+        roots.append(xs[-1])
+    absv = np.abs(vs)
+    for i in range(1, n):
+        if absv[i] < 2e-3 and absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1]:
+            if vs[i - 1] * vs[i] > 0.0 and vs[i] * vs[i + 1] > 0.0:
+                sub = np.linspace(xs[i - 1], xs[i + 1], 257)
+                sv = np.array([c(x) for x in sub])
+                for j in range(256):
+                    if sv[j] * sv[j + 1] < 0.0:
+                        refine(sub[j], sub[j + 1])
+                    elif sv[j] == 0.0:
+                        roots.append(sub[j])
+    roots.sort()
+    dedup = []
+    for r in roots:
+        if not dedup or abs(r - dedup[-1]) > 1e-10:
+            dedup.append(r)
+    if abs(a) > 1.0:
+        dedup = [r for r in dedup
+                 if (math.cos(phi + I * (r - s)) > 0.0) == (crest is MAX)]
+    return dedup
+
+
+def ref_tau_star(params, I, phi, s=0.0, crest=MAX):
+    """Primary crossing on the reference scan, one point at a time."""
+    if sc._is_singular(params, I):
+        raise SingularCrest("singular crest")
+    s = wrap_angle(s)
+    if s > 1.5 * math.pi:
+        s -= TWO_PI
+    sigmas = ref_crossings(params, I, phi, s, crest)
+    if not sigmas:
+        raise NoCrossing("no crossing")
+    sig = min(sigmas, key=lambda x: (abs(s - x), s - x))
+    tau = s - sig
+    return sc.TauStar(tau=tau, psi=wrap_angle(phi - I * tau), sigma=sig,
+                      crest=crest, branch=sc.Branch.SINGLE)
+
+
+def ref_grad(params, I, ts):
+    """Envelope gradient (d/dI, d/dtheta) at a crossing, written out."""
+    a10 = amp_A10(params, I)
+    d_theta = -a10 * math.sin(ts.psi)
+    d_i = amp_A10_deriv(params, I) * math.cos(ts.psi) + ts.tau * a10 * math.sin(ts.psi)
+    return d_i, d_theta
+
+
+def assert_same_roots(params, I, phi, s, crest):
+    got = list(sc._crossings(params, I, phi, s, crest))
+    want = [ref_crossings(params, float(i), float(p), float(q), crest)
+            for i, p, q in zip(I, phi, s)]
+    assert got == want
+    return got
+
+
+def as_mu(mu):
+    return ModelParams(a00=0.0, a10=mu, a01=1.0, eps=0.01)
 
 
 def crossing_residual(params, I, ts):
@@ -66,7 +163,7 @@ class TestTauStar:
     def test_three_crossings_in_band(self, p09):
         info = tangency_points(p09, 1.5)
         theta = 0.5 * (info.theta1 + info.theta2)
-        sigmas = sc._crossings(p09, 1.5, theta, 0.0, MAX)
+        sigmas, = sc._crossings(p09, [1.5], [theta], [0.0], MAX)
         assert len(sigmas) == 3
 
     def test_no_crossing_in_hole(self, p15):
@@ -77,6 +174,122 @@ class TestTauStar:
         p = ModelParams(0.0, 1.0, 1.0)
         with pytest.raises(SingularCrest):
             sc.tau_star(p, 1.0, 1.0, MAX)
+
+
+class TestCrossingKernel:
+    """The array kernel returns the reference scan's root lists bit for bit."""
+
+    @given(st.sampled_from(MUS), st.sampled_from([MAX, MIN]),
+           st.lists(st.tuples(st.floats(-3.5, 3.5), st.floats(0.0, TWO_PI),
+                              st.floats(-3.0, 3.0)),
+                    min_size=1, max_size=150))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, mu, crest, points):
+        p = as_mu(mu)
+        points = [(I, phi, s) for I, phi, s in points
+                  if abs(abs(crest_coefficient(p, I)) - 1.0) > 1e-9]
+        assume(points)
+        I, phi, s = (list(v) for v in zip(*points))
+        assert_same_roots(p, I, phi, s, crest)
+
+    def test_theta_pi_ties(self, p15):
+        # at theta = pi the admissible roots come in exactly symmetric pairs
+        I = np.linspace(-3.5, 3.5, 141).tolist()
+        got = assert_same_roots(p15, I, [math.pi] * len(I), [0.0] * len(I), MAX)
+        assert any(len(r) == 2 and r[0] == -r[1] for r in got)
+
+    def test_grazing_pairs_near_tangency(self, p09):
+        # just inside the band edges two roots sit closer than one scan step,
+        # so the coarse samples see no sign change and only the fine rescan
+        # of the grazing cell finds them
+        I, phi = [], []
+        for act in np.linspace(1.2, 2.8, 9):
+            info = tangency_points(p09, float(act))
+            for delta in (1e-7, 1e-5, 1e-4, 1e-3):
+                I += [float(act)] * 2
+                phi += [info.theta1 - delta, info.theta2 + delta]
+        got = assert_same_roots(p09, I, phi, [0.0] * len(I), MAX)
+        assert any(len(r) == 3 and min(np.diff(r)) < sc._SCAN_STEP for r in got)
+
+    def test_scalar_arguments(self, p09):
+        # a batch of one, as tau_star_full and scattering_branches make
+        assert list(sc._crossings(p09, 1.5, 2.0, 0.3, MAX)) == [
+            ref_crossings(p09, 1.5, 2.0, 0.3, MAX)]
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_region_constants_match_loop(self, mu):
+        from scatmap.diffusion import _region_constants
+        p = as_mu(mu)
+        h = 1e-5
+        L = K = 0.0
+        for I in np.linspace(-3.0, 3.0, 15):
+            for theta in np.linspace(0.0, TWO_PI, 15, endpoint=False):
+                stencil = [(float(I), float(theta)), (float(I) + h, float(theta)),
+                           (float(I) - h, float(theta)), (float(I), float(theta) + h),
+                           (float(I), float(theta) - h)]
+                try:
+                    grads = []
+                    for ii, tt in stencil:
+                        ts = ref_tau_star(p, ii, tt)
+                        if abs(sc.dtheta_dpsi_at(p, ii, ts.psi)) < sc._TANGENCY_GUARD:
+                            raise TangencyPoint("near tangency")
+                        grads.append(ref_grad(p, ii, ts))
+                except ScatmapError:
+                    continue
+                (gi, gt), (gi_p, gt_p), (gi_m, gt_m), (gi_tp, gt_tp), (gi_tm, gt_tm) = grads
+                L = max(L, math.hypot(gi, gt))
+                hess = np.array([
+                    [(gi_p - gi_m) / (2 * h), (gi_tp - gi_tm) / (2 * h)],
+                    [(gt_p - gt_m) / (2 * h), (gt_tp - gt_tm) / (2 * h)],
+                ])
+                K = max(K, float(np.linalg.norm(hess, 2)))
+        assert _region_constants.__wrapped__(p, -3.0, 3.0, 15) == (L, K)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_admissible_window_matches_loop(self, mu):
+        from scatmap.diffusion import _admissible_window
+        p = as_mu(mu)
+        for I in np.linspace(1.0, 3.5, 6).tolist():
+            if tangency_points(p, I) is not None:
+                continue   # the window then comes from the band edges
+            good = []
+            for theta in np.linspace(math.pi, TWO_PI, 257).tolist():
+                try:
+                    ts = ref_tau_star(p, I, theta)
+                except ScatmapError:
+                    continue
+                if math.pi < ts.psi < TWO_PI:
+                    good.append(theta)
+            if good:
+                assert _admissible_window(p, I) == (min(good), max(good))
+            else:
+                with pytest.raises(BranchUnavailable):
+                    _admissible_window(p, I)
+
+    @pytest.mark.parametrize("mu, I_range", [
+        (0.6, (0.1, 2.0)), (0.9, (0.1, 1.0)), (1.5, (0.1, 0.45)),
+        (1.5, (0.1, 1.0)),   # reaches the holes: both must raise NoCrossing
+    ])
+    def test_symmetry_check_matches_loop(self, mu, I_range):
+        p = as_mu(mu)
+        flipped = ModelParams(a00=p.a00, a10=p.a10, a01=-p.a01, eps=p.eps)
+        max_di = max_dphi = 0.0
+        try:
+            for I in np.linspace(I_range[0], I_range[1], 8).tolist():
+                for phi in np.linspace(0.0, TWO_PI, 8, endpoint=False).tolist():
+                    steps = []
+                    for q, s, crest in ((p, math.pi, MIN), (flipped, 0.0, MAX)):
+                        ts = ref_tau_star(q, I, phi, s, crest)
+                        d_i, d_phi = ref_grad(q, I, ts)
+                        steps.append((I + q.eps * d_phi, phi - q.eps * d_i))
+                    max_di = max(max_di, abs(steps[0][0] - steps[1][0]))
+                    max_dphi = max(max_dphi, abs(steps[0][1] - steps[1][1]))
+        except ScatmapError as exc:
+            with pytest.raises(type(exc)):
+                sc.symmetry_check_mu(p, n=8, I_range=I_range)
+            return
+        rep = sc.symmetry_check_mu(p, n=8, I_range=I_range)
+        assert (rep.max_discrepancy_I, rep.max_discrepancy_phi) == (max_di, max_dphi)
 
 
 class TestReducedPoincare:
@@ -130,6 +343,49 @@ class TestGradient:
                 gi, gt = sc.grad_reduced_poincare(p06, I, theta)
                 fi, ft = sc.finite_diff_grad(p06, I, theta)
             except TangencyPoint:
+                continue
+            worst = max(worst, abs(gi - fi) / (1 + abs(gi)),
+                        abs(gt - ft) / (1 + abs(gt)))
+            checked += 1
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("branch", [sc.Branch.A, sc.Branch.B, sc.Branch.C])
+    def test_finite_difference_oracle_in_band(self, p09, branch):
+        # each branch inside the tangency band, away from the tangency locus
+        rng = np.random.default_rng(17)
+        checked = 0
+        worst = 0.0
+        while checked < 60:
+            I = float(rng.uniform(0.5, 3.5) * rng.choice([-1.0, 1.0]))
+            info = tangency_points(p09, I)
+            if info is None:
+                continue
+            theta = float(rng.uniform(info.theta2 + 1e-3, info.theta1 - 1e-3))
+            ts = sc.tau_star(p09, I, theta, MAX, branch)
+            if abs(sc.dtheta_dpsi_at(p09, I, ts.psi)) < 0.05:
+                continue
+            gi, gt = sc.grad_reduced_poincare(p09, I, theta, MAX, branch)
+            fi, ft = sc.finite_diff_grad(p09, I, theta, MAX, branch)
+            worst = max(worst, abs(gi - fi) / (1 + abs(gi)),
+                        abs(gt - ft) / (1 + abs(gt)))
+            checked += 1
+        assert worst <= 1e-6
+
+    def test_finite_difference_oracle_holes(self, p15):
+        # admissible points of the holes regime, away from the hole edges
+        rng = np.random.default_rng(19)
+        checked = 0
+        worst = 0.0
+        while checked < 150:
+            I = float(rng.uniform(-3.5, 3.5))
+            theta = float(rng.uniform(0.0, TWO_PI))
+            try:
+                ts = sc.tau_star(p15, I, theta)
+                if abs(sc.dtheta_dpsi_at(p15, I, ts.psi)) < 0.05:
+                    continue
+                gi, gt = sc.grad_reduced_poincare(p15, I, theta)
+                fi, ft = sc.finite_diff_grad(p15, I, theta)
+            except (NoCrossing, SingularCrest):
                 continue
             worst = max(worst, abs(gi - fi) / (1 + abs(gi)),
                         abs(gt - ft) / (1 + abs(gt)))
