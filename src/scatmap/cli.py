@@ -124,13 +124,40 @@ def _csv_chunks(header: list[str], rows):
         yield "\n" + ",".join(fmt(v) if isinstance(v, float) else str(v) for v in row)
 
 
+def _json_value(v) -> str:
+    """One scalar as json.dumps writes it; floats are spelled out here, the
+    common case, to skip building an encoder per value."""
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v in (math.inf, -math.inf):
+            return "Infinity" if v > 0 else "-Infinity"
+        return float.__repr__(v)
+    return json.dumps(v)
+
+
+def _json_chunks(sections):
+    """json.dumps({name: [dict(zip(header, row)), ...], ...}, indent=2) in
+    pieces, one per record, from (name, header, rows) triples; the records
+    are never all held."""
+    yield "{"
+    for n, (name, header, rows) in enumerate(sections):
+        yield f'{"," if n else ""}\n  {json.dumps(name)}: ['
+        keys = [f"\n      {json.dumps(key)}: " for key in header]
+        sep = "\n    {"
+        for row in rows:
+            yield sep + ",".join(k + _json_value(v) for k, v in zip(keys, row)) + "\n    }"
+            sep = ",\n    {"
+        yield "]" if sep == "\n    {" else "\n  ]"
+    yield "\n}"
+
+
 def _emit(args, writer: _Writer, header: list[str], rows: list[list],
           json_key: str):
     if args.format == "csv":
         writer.write_lines(_csv_chunks(header, rows))
     else:
-        payload = [dict(zip(header, row)) for row in rows]
-        writer.write(json.dumps({json_key: payload}, indent=2))
+        writer.write_lines(_json_chunks([(json_key, header, rows)]))
 
 
 # ----------------------------------------------------------------- commands
@@ -197,6 +224,8 @@ def cmd_portrait(args) -> int:
 
     writer = _Writer(args.out)
     th_list = th_vals.tolist()
+    grid_header = ["I", "theta", "value"]
+    contour_header = ["level", "polyline", "vertex", "I", "theta"]
 
     def grid_rows():
         # rows are made as they are written, never all held: there are n*n
@@ -212,15 +241,12 @@ def cmd_portrait(args) -> int:
                 contour_rows.append([float(level), pid, vid, float(I), float(theta)])
 
     if args.format == "json":
-        writer.write(json.dumps({
-            "grid": [dict(zip(["I", "theta", "value"], r)) for r in grid_rows()],
-            "contours": [dict(zip(["level", "polyline", "vertex", "I", "theta"], r))
-                         for r in contour_rows],
-        }, indent=2))
+        writer.write_lines(_json_chunks([("grid", grid_header, grid_rows()),
+                                         ("contours", contour_header, contour_rows)]))
         return 0
-    writer.write_lines(_csv_chunks(["I", "theta", "value"], grid_rows()))
+    writer.write_lines(_csv_chunks(grid_header, grid_rows()))
     if levels:
-        text = _csv_chunks(["level", "polyline", "vertex", "I", "theta"], contour_rows)
+        text = _csv_chunks(contour_header, contour_rows)
         if args.out is None:
             sys.stdout.write("\n")
             writer.write_lines(text)

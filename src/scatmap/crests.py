@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from scipy.optimize import brentq, minimize_scalar
-
 from .errors import DomainError
 from .model import (
     ModelParams,
@@ -22,6 +20,7 @@ from .model import (
     crest_coefficient,
     wrap_angle,
 )
+from .roots import brentq, golden_max
 
 SINGULAR_TOL = 1e-12
 
@@ -71,21 +70,15 @@ class RegimeReport:
 @lru_cache(maxsize=1)
 def alpha_max() -> tuple[float, float]:
     """(argmax, max) of alpha over I > 0, found by golden-section search."""
-    res = minimize_scalar(
-        lambda x: -alpha(x), bracket=(0.5, 1.2, 3.0), method="golden",
-        options={"xtol": 1e-12},
-    )
-    return float(res.x), alpha(float(res.x))
+    x = golden_max(alpha, 0.5, 1.2, 3.0, xtol=1e-12)
+    return x, alpha(x)
 
 
 @lru_cache(maxsize=1)
 def beta_max() -> tuple[float, float]:
-    """(argmax, max) of beta over I > 0."""
-    res = minimize_scalar(
-        lambda x: -beta(x), bracket=(1.0, 1.9, 4.0), method="golden",
-        options={"xtol": 1e-12},
-    )
-    return float(res.x), beta(float(res.x))
+    """(argmax, max) of beta over I > 0, found by golden-section search."""
+    x = golden_max(beta, 1.0, 1.9, 4.0, xtol=1e-12)
+    return x, beta(x)
 
 
 def crest_orientation(params: ModelParams, I: float, tol: float = SINGULAR_TOL) -> Orientation:
@@ -175,7 +168,7 @@ def tangency_points(params: ModelParams, I: float) -> TangencyInfo | None:
 
 
 def _root_scan(f, lo: float, hi: float, step: float, xtol: float = 1e-14) -> list[float]:
-    """All simple roots of f on [lo, hi] by sign-change scan + brentq."""
+    """All simple roots of f on [lo, hi] by sign-change scan + Brent refinement."""
     roots = []
     n = max(2, int(math.ceil((hi - lo) / step)))
     xs = [lo + (hi - lo) * k / n for k in range(n + 1)]

@@ -18,7 +18,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .crests import critical_actions, tangency_points, alpha_max
 from .errors import (
@@ -125,12 +124,8 @@ def inner_ergodization_time(I: float, eps: float, a: float) -> tuple[int, float]
         raise ValueError("eps^a must be below 2*pi")
     if abs(I) <= eps:
         raise DegenerateAction(f"|I| = {abs(I)!r} <= eps; rotor effectively frozen")
-    n_max = math.ceil(TWO_PI / tol - 1.0)
-    for k in range(1, n_max + 1):
-        if abs(math.remainder(TWO_PI * k * I, TWO_PI)) < tol:
-            return k, TWO_PI * k
-    # unreachable for tol consistent with the box principle; keep a guard
-    raise DegenerateAction(f"no return within N = {n_max} multiples")
+    k, _ = _dirichlet_base(I, tol)
+    return k, TWO_PI * k
 
 
 def _dirichlet_base(I: float, tol: float) -> tuple[int, float]:
@@ -214,14 +209,18 @@ def propagated_error_bound(params: ModelParams, n: int, dev: float,
 
     with L, K grid maxima of the gradient and of the variational (Hessian)
     norm over the region.  K2 is the unknown second-order remainder constant
-    of the map itself, configurable, default 1.
+    of the map itself, configurable, default 1.  A bound beyond the float
+    range is returned as inf.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     eps = params.eps
     L, K = _region_constants(params, float(min(region)), float(max(region)))
-    euler = 0.5 * L * eps * ((1.0 + eps * K) ** n - 1.0)
-    return n * eps * eps * K2 + euler + dev * math.exp(K * eps * n)
+    try:
+        euler = 0.5 * L * eps * ((1.0 + eps * K) ** n - 1.0)
+        return n * eps * eps * K2 + euler + dev * math.exp(K * eps * n)
+    except OverflowError:
+        return math.inf
 
 
 def _lane_theta(params: ModelParams, I: float, side: Side) -> float:
@@ -436,6 +435,7 @@ def shi(x: float) -> float:
             if term < 1e-18 * total:
                 break
         return math.copysign(total, x)
+    from scipy.integrate import quad  # SciPy only where a quadrature runs
     val, _ = quad(lambda t: math.sinh(t) / t if t != 0.0 else 1.0, 0.0, ax,
                   epsabs=1e-13, epsrel=1e-13, limit=200)
     return math.copysign(val, x)
@@ -460,6 +460,7 @@ def time_Ts(params: ModelParams, I0: float, If: float,
     value.  Requires [I0, If] inside the highway domain.
     """
     _check_lane_interval(params, min(I0, If), max(I0, If))
+    from scipy.integrate import quad  # SciPy only where a quadrature runs
     f = lambda I: _ts_integrand(params, float(I), side)
     pts = [0.0] if I0 < 0.0 < If else None
     val, _ = quad(f, I0, If, points=pts, limit=300, epsabs=1e-10, epsrel=1e-10)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .crests import critical_actions, tangency_points
 from .errors import NotInDomain
@@ -29,6 +28,7 @@ from .model import (
     crest_coefficient,
 )
 from .crests import xi_max_raw
+from .roots import brentq
 
 
 class Side(Enum):
@@ -188,5 +188,7 @@ def highway_domain(params: ModelParams, scan_step: float = 1e-2,
                          I_plus=i_plus, I_plusplus=i_plusplus)
 
 
-def in_intervals(I: float, intervals: tuple[tuple[float, float], ...]) -> bool:
-    return any(lo <= I <= hi for lo, hi in intervals)
+def in_intervals(x: float, intervals: tuple[tuple[float, float], ...],
+                 tol: float = 0.0) -> bool:
+    """Whether x lies in one of the closed intervals, each widened by tol."""
+    return any(lo - tol <= x <= hi + tol for lo, hi in intervals)

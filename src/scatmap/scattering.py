@@ -25,8 +25,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .crests import (
     CrestBranch,
@@ -43,6 +41,7 @@ from .errors import (
     SingularCrest,
     TangencyPoint,
 )
+from .highways import in_intervals
 from .model import (
     TWO_PI,
     ModelParams,
@@ -53,6 +52,7 @@ from .model import (
     crest_coefficient,
     wrap_angle,
 )
+from .roots import brentq
 
 # sigma sampling step for the crossing scan (half-window pi is split in 200)
 _SCAN_STEP = math.pi / 200.0
@@ -105,7 +105,7 @@ def _sigma_window(crest: CrestBranch) -> tuple[float, float]:
 
 
 def _crest_fn(sig: float, a: float, phi: float, I: float, s: float) -> float:
-    """c(sigma) of one segment; brentq refines every root with it."""
+    """c(sigma) of one segment; roots.brentq refines every root with it."""
     return a * math.sin(phi + I * (sig - s)) + math.sin(sig)
 
 
@@ -117,9 +117,10 @@ def _crossings(params: ModelParams, I, phi, s,
     Yields each point's sorted roots in turn.  The coarse scan runs with
     numpy over _CHUNK points at a time, and the next chunk is scanned only
     once this one is consumed, so nothing is held for all points at once.
-    Each bracket is refined by brentq on the scalar c.  Cells holding a
-    grazing pair (local |c| minimum without sign change) are rescanned
-    finely so that near-tangency double roots are not dropped.
+    Each bracket is refined by Brent's method on the scalar c (roots.brentq,
+    which gives SciPy's floats).  Cells holding a grazing pair (local |c|
+    minimum without sign change) are rescanned finely so that near-tangency
+    double roots are not dropped.
 
     While the crest is horizontal its component through (0, 0) is exactly
     the graph covered by the maximum sigma-window.  Once it turns vertical
@@ -225,10 +226,6 @@ def _branch_psi_domains(params: ModelParams, I: float) -> dict[Branch, tuple[tup
     }
 
 
-def _in_intervals(x: float, intervals: tuple[tuple[float, float], ...], tol: float = 1e-9) -> bool:
-    return any(lo - tol <= x <= hi + tol for lo, hi in intervals)
-
-
 def _is_singular(params: ModelParams, I: float) -> bool:
     return abs(abs(crest_coefficient(params, I)) - 1.0) <= 1e-12
 
@@ -244,7 +241,8 @@ def _select_crossing(params: ModelParams, I: float, phi: float, s: float,
         # no tangency: the unique crossing serves every branch label
         return min(sigmas, key=lambda sig: (abs(s - sig), s - sig))
     candidates = [sig for sig in sigmas
-                  if _in_intervals(wrap_angle(phi + I * (sig - s)), domains[branch])]
+                  if in_intervals(wrap_angle(phi + I * (sig - s)), domains[branch],
+                                  tol=1e-9)]
     if not candidates:
         raise BranchUnavailable(
             f"no crossing with psi in branch-{branch.value} domain at I={I!r}"
@@ -476,6 +474,7 @@ def flow_reduced_hamiltonian(params: ModelParams, pt: ReducedPoint, t: float,
     """
     if t == 0.0:
         return pt
+    from scipy.integrate import solve_ivp  # SciPy only where a flow is integrated
 
     def rhs(_t, y):
         d_i, d_theta = grad_reduced_poincare(params, y[0], y[1], crest, branch)

@@ -4,7 +4,8 @@ Everything here recomputes a quantity the rest of the library obtains in
 closed form, by a route that shares no code with it: direct quadrature for
 the splitting potential, full 5D integration for the action jump across one
 homoclinic excursion, and a gradient scan for the admissible perturbation
-size along a highway.
+size along a highway.  SciPy's integrators are imported inside the
+functions that use them, so importing this module does not load SciPy.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import DegenerateAction, NotInDomain, StepFailure
 from .highways import Side, highway_psi
@@ -59,6 +59,7 @@ def melnikov_quadrature_oracle(params: ModelParams, I: float, phi: float,
     amp = abs(params.a00) + abs(params.a10) + abs(params.a01)
     # tail beyond T is bounded by 8*amp*exp(-2T)
     T = 0.5 * math.log(max(8.0 * amp, 1.0) / (0.1 * tol)) + 1.0
+    from scipy.integrate import quad
 
     def integrand(u: float) -> float:
         p0 = 2.0 / math.cosh(u)
@@ -92,6 +93,7 @@ def integrate_full(params: ModelParams, state: FullState, T: float,
     if not math.isfinite(T):
         raise ValueError("T must be finite")
     y0 = [state.p, state.q, state.I, state.phi, state.s]
+    from scipy.integrate import solve_ivp
     t_eval = np.linspace(0.0, T, max(2, n_samples))
     sol = solve_ivp(lambda t, y: _rhs(params, y), (0.0, T), y0, method="DOP853",
                     rtol=tol, atol=tol * 1e-2, t_eval=t_eval,
@@ -105,6 +107,7 @@ def integrate_full(params: ModelParams, state: FullState, T: float,
 
 
 def _integrate_raw(params: ModelParams, y0, T: float, rtol: float, atol: float):
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(lambda t, y: _rhs(params, y), (0.0, T), y0, method="DOP853",
                     rtol=rtol, atol=atol)
     if not sol.success:
@@ -115,6 +118,7 @@ def _integrate_raw(params: ModelParams, y0, T: float, rtol: float, atol: float):
 def _inner_backflow(params: ModelParams, I: float, phi: float, T0: float):
     """Exact torus dynamics run backward for T0: captures the O(eps) wobble
     of the asymptotic orbit that a bare rotor rotation misses."""
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(
         lambda t, y: [params.eps * params.a10 * math.sin(y[1]), y[0]],
         (0.0, -T0), [I, phi], method="DOP853", rtol=1e-13, atol=1e-14)

@@ -1,10 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import scatmap
+from scatmap import ModelParams
 from scatmap.cli import main
+from scatmap.contour import contour_polylines
+from scatmap.gridkernels import reduced_poincare_grid
+from scatmap.model import TWO_PI
 
 
 def run(capsys, *argv):
@@ -91,6 +99,44 @@ class TestPortrait:
         contours = (tmp_path / "portrait.contours.csv").read_text()
         assert grid.count("\n") == 1 + 23 * 23 and "nan" in grid
         assert out == grid + "\n" + contours
+
+    def test_streamed_json_equals_json_dumps(self, tmp_path, capsys):
+        # the JSON document is written record by record; its bytes must be
+        # those of json.dumps on the whole document, NaN holes included
+        n, nlevels = 40, 4
+        out_file = tmp_path / "portrait.json"
+        code, _, _ = run(capsys, "portrait", "--mu", "1.5", "--grid", str(n),
+                         "--nlevels", str(nlevels), "--format", "json",
+                         "--out", str(out_file))
+        assert code == 0
+        p = ModelParams(a00=0.0, a10=1.5, a01=1.0, eps=0.01)
+        I_vals = np.linspace(-4.0, 4.0, n)
+        th_vals = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        Z = reduced_poincare_grid(p, I_vals, th_vals)
+        assert np.isnan(Z).any()
+        finite = Z[np.isfinite(Z)]
+        levels = np.linspace(finite.min(), finite.max(), nlevels + 2)[1:-1]
+        grid = [{"I": float(I), "theta": float(th), "value": float(Z[i, j])}
+                for i, I in enumerate(I_vals) for j, th in enumerate(th_vals)]
+        contours = [{"level": float(level), "polyline": pid, "vertex": vid,
+                     "I": float(I), "theta": float(th)}
+                    for level in levels
+                    for pid, poly in enumerate(contour_polylines(th_vals, I_vals, Z, level))
+                    for vid, (th, I) in enumerate(poly)]
+        assert contours
+        expected = json.dumps({"grid": grid, "contours": contours}, indent=2) + "\n"
+        assert out_file.read_text() == expected
+        code, out, _ = run(capsys, "portrait", "--mu", "1.5", "--grid", str(n),
+                           "--nlevels", str(nlevels), "--format", "json")
+        assert code == 0 and out == expected
+
+    def test_json_without_levels(self, capsys):
+        code, out, _ = run(capsys, "portrait", "--mu", "0.6", "--grid", "3",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["contours"] == [] and len(doc["grid"]) == 9
+        assert out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestHighways:
@@ -235,3 +281,56 @@ class TestDeterminism:
                         "--imax", "0.2", "--step", "0.1", "--side", "right")
         sample = out.strip().splitlines()[2].split(",")[3]
         assert len(sample.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+class TestColdStart:
+    """SciPy is needed only for quadrature and integration (difftime, verify);
+    the other commands, and importing the package, must not load it."""
+
+    COMMANDS = [
+        ["regime", "--mu", "0.9"],
+        ["crests", "--mu", "0.6", "--I", "1.2", "--grid", "16"],
+        ["crests", "--mu", "1.2", "--I", "1", "--grid", "8"],
+        ["portrait", "--mu", "1.5", "--grid", "12", "--nlevels", "2"],
+        ["portrait", "--mu", "0.9", "--grid", "8", "--format", "json"],
+        ["highways", "--mu", "0.6", "--imin", "-1", "--imax", "1", "--step", "0.1"],
+        ["tangency", "--mu", "0.9", "--imin", "1.1", "--imax", "3.0", "--grid", "20"],
+        ["orbit", "--mu", "0.6", "--eps", "0.05", "--Istar", "1"],
+        ["orbit", "--mu", "0.9", "--eps", "0.05", "--Istar", "2"],
+        ["epsstar", "--mu", "0.9", "--Istar", "4", "--grid", "41"],
+    ]
+
+    @staticmethod
+    def scipy_modules_after(code: str) -> list[str]:
+        """The scipy modules loaded once code has run in a fresh interpreter."""
+        src = os.path.dirname(os.path.dirname(scatmap.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        code += ("\nimport json\nprint('SCIPY', json.dumps(sorted("
+                 "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.strip().splitlines()[-1]
+        assert last.startswith("SCIPY ")
+        return json.loads(last[len("SCIPY "):])
+
+    def test_commands_never_import_scipy(self):
+        code = ("import contextlib, io, sys\n"
+                "from scatmap.cli import main\n"
+                f"for argv in {self.COMMANDS!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(argv) == 0, argv\n")
+        assert self.scipy_modules_after(code) == []
+
+    def test_package_import_is_scipy_free(self):
+        assert self.scipy_modules_after("import sys, scatmap") == []
+
+    def test_guard_sees_scipy(self):
+        # the probe itself must notice SciPy where a command does load it
+        code = ("import contextlib, io, sys\n"
+                "from scatmap.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    main(['difftime', '--mu', '0.6', '--eps', '0.01', '--Istar', '1'])\n")
+        assert "scipy.integrate" in self.scipy_modules_after(code)

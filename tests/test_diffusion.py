@@ -294,3 +294,15 @@ class TestPropagatedErrorBound:
             n = math.ceil(eps**-0.5)
             vals.append(df.propagated_error_bound(p, n, eps**0.25, (0.0, 2.0)))
         assert vals[0] > vals[1] > vals[2]
+
+    def test_overflow_is_infinite(self):
+        # across the mu = 0.9 tangency band the sampled Hessian norm K is
+        # about 1.9e5, so exp(K*eps*n) leaves the float range: the bound is
+        # inf and the pseudo-orbit is still built (it used to raise
+        # OverflowError)
+        p = ModelParams(0.0, 0.9, 1.0, eps=0.031354066700506104)
+        I_star = 1.2591006923797505
+        assert df.propagated_error_bound(p, 6, 0.1, (-I_star, I_star)) == math.inf
+        orbit = df.build_pseudo_orbit_general(p, I_star)
+        assert orbit.final_point.I >= I_star
+        assert any(leg.error_bound == math.inf for leg in orbit.legs)

@@ -15,6 +15,7 @@ from scatmap.errors import (
     SingularCrest,
     TangencyPoint,
 )
+from scatmap.highways import in_intervals
 from scatmap.model import (
     TWO_PI,
     amp_A00,
@@ -477,7 +478,7 @@ class TestBranches:
         for branch in (sc.Branch.A, sc.Branch.B, sc.Branch.C):
             for theta in np.linspace(0.0, TWO_PI, 60, endpoint=False):
                 ts = sc.tau_star(p09, 1.5, float(theta), MAX, branch)
-                assert sc._in_intervals(ts.psi, domains[branch])
+                assert in_intervals(ts.psi, domains[branch], tol=1e-9)
 
     def test_branches_agree_outside_band(self, p09):
         info = tangency_points(p09, 1.5)
