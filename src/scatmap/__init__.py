@@ -71,7 +71,6 @@ from .diffusion import (
     diffusion_time,
     inner_ergodization_time,
     propagated_error_bound,
-    shi,
     time_Th,
     time_Ts,
 )

@@ -31,7 +31,6 @@ from .diffusion import (
     build_pseudo_orbit_general,
     build_pseudo_orbit_highway,
     diffusion_time,
-    shi,
 )
 from .errors import ScatmapError
 from .gridkernels import reduced_poincare_grid
@@ -359,11 +358,6 @@ def cmd_verify(args) -> int:
     checks.append(("unperturbed invariants under integration",
                    drift <= 1e-9 and i_drift <= 1e-10,
                    f"pendulum energy {drift:.3e}, action drift {i_drift:.3e}"))
-
-    from scipy.special import shichi as _shichi
-    ref = float(_shichi(1.0)[0])
-    checks.append(("hyperbolic sine integral vs library implementation",
-                   abs(shi(1.0) - ref) <= 1e-12, f"err {abs(shi(1.0) - ref):.3e}"))
 
     if not args.fast and params.eps > 0.0:
         meas, pred = measure_homoclinic_jump(params, 1.0, 1.0, 0.0)

@@ -179,7 +179,7 @@ def _region_constants(params: ModelParams, I_lo: float, I_hi: float,
 
     def grad(k: int, ts: TauStar) -> tuple[float, float]:
         _check_tangency(params, float(I_pts[k]), ts.psi)
-        return _grad_at_crossing(params, float(I_pts[k]), ts)
+        return _grad_at_crossing(params, float(I_pts[k]), ts.tau, ts.psi)
 
     L = 0.0
     K = 0.0
@@ -414,31 +414,6 @@ def build_pseudo_orbit_general(params: ModelParams, I_star: float,
         if guard > 200_000:
             raise StalledProgress("leg budget exhausted")
     return builder.build()
-
-
-def shi(x: float) -> float:
-    """Hyperbolic sine integral: odd primitive of sinh(t)/t from 0 to x.
-
-    Power series below |x| = 2, adaptive quadrature beyond.
-    """
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax < 2.0:
-        term = ax
-        total = ax
-        k = 0
-        while True:
-            k += 1
-            term *= ax * ax / ((2 * k) * (2 * k + 1))
-            total += term / (2 * k + 1)
-            if term < 1e-18 * total:
-                break
-        return math.copysign(total, x)
-    from scipy.integrate import quad  # SciPy only where a quadrature runs
-    val, _ = quad(lambda t: math.sinh(t) / t if t != 0.0 else 1.0, 0.0, ax,
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return math.copysign(val, x)
 
 
 def _ts_integrand(params: ModelParams, I: float, side: Side) -> float:

@@ -17,17 +17,15 @@ from enum import Enum
 
 import numpy as np
 
-from .crests import critical_actions, tangency_points
+from .crests import critical_actions, tangency_points, xi_max_raw
 from .errors import NotInDomain
 from .model import (
     TWO_PI,
     ModelParams,
-    amp_A00,
     amp_A01,
     amp_A10,
     crest_coefficient,
 )
-from .crests import xi_max_raw
 from .roots import brentq
 
 
@@ -58,11 +56,6 @@ class HighwayDomain:
     effective: tuple[tuple[float, float], ...]
     I_plus: float | None
     I_plusplus: float | None
-
-
-def highway_level(params: ModelParams) -> float:
-    """The level value A00 + A01 shared by both lanes."""
-    return amp_A00(params) + amp_A01(params)
 
 
 def level_gap(params: ModelParams, I: float, psi: float) -> float:

@@ -91,14 +91,6 @@ class FullState:
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
-class StateDerivative(NamedTuple):
-    p: float
-    q: float
-    I: float
-    phi: float
-    s: float
-
-
 class MelnikovCoeffs(NamedTuple):
     A00: float
     A10: float
@@ -197,20 +189,22 @@ def perturbation_g(params: ModelParams, phi: float, s: float) -> float:
     return params.a00 + params.a10 * math.cos(phi) + params.a01 * math.cos(s)
 
 
-def full_vector_field(params: ModelParams, state: FullState) -> StateDerivative:
-    """Hamilton equations of the full system.
+def full_vector_field(params: ModelParams, y) -> list[float]:
+    """Hamilton equations of the full system at y = (p, q, I, phi, s).
 
     (dp, dq, dI, dphi, ds) =
       (sin(q)*(1 + eps*g(phi,s)), p, eps*a10*cos(q)*sin(phi), I, 1).
+    A plain list: the 5D integrators call this thousands of times.
     """
-    g = perturbation_g(params, state.phi, state.s)
-    return StateDerivative(
-        p=math.sin(state.q) * (1.0 + params.eps * g),
-        q=state.p,
-        I=params.eps * params.a10 * math.cos(state.q) * math.sin(state.phi),
-        phi=state.I,
-        s=1.0,
-    )
+    p, q, I, phi, s = y
+    g = perturbation_g(params, phi, s)
+    return [
+        math.sin(q) * (1.0 + params.eps * g),
+        p,
+        params.eps * params.a10 * math.cos(q) * math.sin(phi),
+        I,
+        1.0,
+    ]
 
 
 def inner_first_integral(params: ModelParams, I: float, phi: float) -> float:

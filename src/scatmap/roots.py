@@ -1,4 +1,4 @@
-"""Scalar root and maximum search, giving SciPy's floats without importing it.
+"""Root and maximum search, giving SciPy's floats without importing it.
 
 brentq is the loop of SciPy's C brentq (Brent's method with inverse
 quadratic extrapolation), operation for operation, at SciPy's defaults
@@ -8,8 +8,14 @@ Both return the same float SciPy does, bit for bit (tests/test_roots.py
 checks them against SciPy), and raise its exception types and messages, so
 every root in the library is the one SciPy would give.  Importing
 scipy.optimize takes longer than most CLI calls spend on everything else.
+
+brentq_many runs brentq over arrays of brackets in lockstep: Brent's method
+(Algorithms for Minimization without Derivatives, 1973, ch. 4) is a fixed
+sequence of IEEE operations, so each lane gives brentq's float.
 """
 from __future__ import annotations
+
+import numpy as np
 
 _RTOL = 4 * 2.220446049250313e-16   # 4 * machine epsilon, SciPy's floor
 _MAXITER = 100
@@ -84,6 +90,76 @@ def brentq(f, a: float, b: float, args: tuple = (), xtol: float = 2e-12) -> floa
         if fcur != fcur:
             raise _nan_error(xcur)
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+
+
+def brentq_many(f, a, b, args: tuple = (), xtol: float = 2e-12) -> np.ndarray:
+    """brentq on each bracket [a[k], b[k]] at once; f(x, *args) works on arrays.
+
+    Each lane does brentq's float operations in brentq's order: np.where
+    picks the lane's branch and finished lanes (with their args) drop out.
+    So root k is brentq's float for lane k wherever the array form of f
+    gives the scalar form's floats.  Raises as brentq does when a lane would.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    fpre, fcur = _no_nan(f(xpre, *args), xpre), _no_nan(f(xcur, *args), xcur)
+    root = np.where(fpre == 0.0, xpre, xcur)
+    live = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))
+    if ((fpre[live] < 0.0) == (fcur[live] < 0.0)).any():
+        raise ValueError("f(a) and f(b) must have different signs")
+    xpre, xcur, fpre, fcur = xpre[live], xcur[live], fpre[live], fcur[live]
+    args = tuple(np.asarray(v)[live] for v in args)
+    xblk = fblk = spre = scur = np.zeros(live.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAXITER):
+            new = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+            width = xcur - xpre
+            xblk, fblk, spre, scur = np.where(new, [xpre, fpre, width, width],
+                                              [xblk, fblk, spre, scur])
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk, fpre, fcur, fblk = np.where(
+                swap, [xcur, xblk, xcur, fcur, fblk, fcur],
+                [xpre, xcur, xblk, fpre, fcur, fblk])
+
+            delta = (xtol + _RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if done.any():
+                root[live[done]] = xcur[done]
+                go = ~done
+                live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, *args = (
+                    v[go] for v in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre,
+                                    scur, delta, sbis, *args))
+            if not live.size:
+                return root
+
+            # brentq's trial step; lanes that do not try it drop its 0/0
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,   # interpolate, else extrapolate
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            step = 2 * np.abs(stry)
+            abs_spre = np.abs(spre)
+            good = ((abs_spre > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (step < abs_spre) & (step < 3 * np.abs(sbis) - delta))
+            spre, scur = np.where(good, [scur, stry], sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                                   np.where(sbis > 0, delta, -delta))
+            fcur = _no_nan(f(xcur, *args), xcur)
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+
+
+def _no_nan(fx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """fx, unless some lane is NaN: then brentq's error for the first such x."""
+    nan = np.isnan(fx)
+    if nan.any():
+        raise _nan_error(float(x[np.argmax(nan)]))
+    return fx
 
 
 def golden_max(f, xa: float, xb: float, xc: float, xtol: float) -> float:

@@ -10,11 +10,11 @@ with smallest |tau| (tau = -sigma for the theta-anchored segment) defines the
 primary map; inside a tangency band three crossings coexist and are told
 apart by which psi-interval (branch A/B/C) they fall in.
 
-One crossing kernel, _crossings, serves every scalar-path caller and takes
-many points at once: tau_star_full is a batch of one, and the bulk callers
-(the error-bound constants, the admissible-window scan, the mu-flip
-symmetry check) make one call each.  The portrait grid (gridkernels) keeps
-its own coarser scan.
+One crossing kernel, _CrossingScan, serves every caller and takes many
+points at once: through _crossings tau_star_full is a batch of one and the
+bulk callers (the error-bound constants, the admissible-window scan, the
+mu-flip symmetry check) make one call each; the portrait grid
+(gridkernels) scans its cells in chunks.
 """
 from __future__ import annotations
 
@@ -52,12 +52,16 @@ from .model import (
     crest_coefficient,
     wrap_angle,
 )
-from .roots import brentq
+from .roots import brentq, brentq_many
 
 # sigma sampling step for the crossing scan (half-window pi is split in 200)
 _SCAN_STEP = math.pi / 200.0
-# points the crossing kernel scans at once; bounds its scan arrays (50 kB)
-_CHUNK = 32
+# points the crossing kernel scans at once; bounds its scan arrays (410 kB
+# of floats, 3 x 52 kB of flags)
+_CHUNK = 256
+# brackets from which roots.brentq_many beats a roots.brentq loop: at 1-64 it
+# costs 330-620 us against 10-360 us for the loop (2-core x86-64 VM, NumPy 2.4)
+_LOCKSTEP_MIN = 64
 # reject gradients closer to a tangency than this in |d theta / d psi|
 _TANGENCY_GUARD = 1e-6
 
@@ -105,42 +109,30 @@ def _sigma_window(crest: CrestBranch) -> tuple[float, float]:
 
 
 def _crest_fn(sig: float, a: float, phi: float, I: float, s: float) -> float:
-    """c(sigma) of one segment; roots.brentq refines every root with it."""
+    """c(sigma) of one segment; roots.brentq refines a few brackets with it."""
     return a * math.sin(phi + I * (sig - s)) + math.sin(sig)
+
+
+def _crest_many(sig, a, phi, I, s):
+    """_crest_fn on arrays, with its operations (np.sin gives math.sin's floats)."""
+    return a * np.sin(phi + I * (sig - s)) + np.sin(sig)
 
 
 def _crossings(params: ModelParams, I, phi, s,
                crest: CrestBranch) -> Iterator[list[float]]:
-    """Every sigma in the crest window with c(sigma) = 0, tolerance 1e-12,
-    for each point (I[k], phi[k], s[k]) of the arrays; the one crossing kernel.
-
-    Yields each point's sorted roots in turn.  The coarse scan runs with
-    numpy over _CHUNK points at a time, and the next chunk is scanned only
-    once this one is consumed, so nothing is held for all points at once.
-    Each bracket is refined by Brent's method on the scalar c (roots.brentq,
-    which gives SciPy's floats).  Cells holding a grazing pair (local |c|
-    minimum without sign change) are rescanned finely so that near-tangency
-    double roots are not dropped.
-
-    While the crest is horizontal its component through (0, 0) is exactly
-    the graph covered by the maximum sigma-window.  Once it turns vertical
-    (|mu*alpha| > 1) that window also picks up points of the other
-    component, which sits in the cos(psi) < 0 half; those are filtered
-    out, and the points left without any admissible root are the holes.
+    """The sorted sigmas in the crest window with c(sigma) = 0 (to 1e-12) of
+    each point (I[k], phi[k], s[k]) in turn.  Chunks of _CHUNK points are
+    scanned as they are consumed, so nothing is held for all points at once.
     """
     I, phi, s = _points(I, phi, s)
-    lo, hi = _sigma_window(crest)
-    n = max(8, int(math.ceil((hi - lo) / _SCAN_STEP)))
-    xs = np.linspace(lo, hi, n + 1)
-    coeff: dict[float, float] = {}   # crest coefficient of each distinct I
+    scan = _CrossingScan(crest, len(I))
     for start in range(0, len(I), _CHUNK):
         part = slice(start, start + _CHUNK)
-        actions = I[part].tolist()
-        for v in actions:
-            if v not in coeff:
-                coeff[v] = crest_coefficient(params, v)
-        a = np.array([coeff[v] for v in actions])
-        yield from _crossings_chunk(a, I[part], phi[part], s[part], xs, crest)
+        a = np.array([crest_coefficient(params, v) for v in I[part].tolist()])
+        point, sigma = scan.crossings(a, I[part], phi[part], s[part])
+        ends = np.searchsorted(point, np.arange(len(a) + 1)).tolist()
+        sigma = sigma.tolist()
+        yield from (sigma[lo:hi] for lo, hi in zip(ends, ends[1:]))
 
 
 def _points(I, phi, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,64 +141,104 @@ def _points(I, phi, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                                        for v in (I, phi, s))))
 
 
-def _crossings_chunk(a, I, phi, s, xs, crest: CrestBranch) -> list[list[float]]:
-    """_crossings for one chunk of points; a holds each point's crest coefficient."""
-    def scan(k, x):
-        # c(x) for the points k, with the operation order of _crest_fn,
-        # in place so that a chunk holds one scan-sized array at a time
-        c = x - s[k, None]
-        c *= I[k, None]
-        c += phi[k, None]
-        np.sin(c, out=c)
-        c *= a[k, None]
-        c += np.sin(x)
-        return c
+@lru_cache(maxsize=2)
+def _scan_samples(crest: CrestBranch) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse scan's samples of the crest window, and their sines."""
+    lo, hi = _sigma_window(crest)
+    xs = np.linspace(lo, hi, max(8, int(math.ceil((hi - lo) / _SCAN_STEP))) + 1)
+    return xs, np.sin(xs)
 
-    every = np.arange(len(I))
-    vs = scan(every, xs[None, :])
-    args = list(zip(a.tolist(), phi.tolist(), I.tolist(), s.tolist()))
-    roots: list[list[float]] = [[] for _ in args]
 
-    def refine(k: int, x0: float, x1: float):
-        r = brentq(_crest_fn, x0, x1, args=args[k], xtol=1e-15)
-        if abs(_crest_fn(r, *args[k])) <= 1e-12:
-            roots[k].append(r)
+class _CrossingScan:
+    """Crest crossings of up to _CHUNK points per call, as flat arrays; the
+    scan's working arrays are reused from call to call.
 
-    for k, i in zip(*np.nonzero(vs == 0.0)):
-        roots[k].append(xs[i])
-    for k, i in zip(*np.nonzero(vs[:, :-1] * vs[:, 1:] < 0.0)):
-        refine(k, xs[i], xs[i + 1])
+    A coarse scan of c over the window's samples finds exact zeros and
+    sign-change brackets; cells holding a grazing pair (local |c| minimum
+    without sign change) are rescanned finely so that near-tangency double
+    roots are not dropped.  All brackets of a call are refined at once, by
+    roots.brentq_many, or by a roots.brentq loop below _LOCKSTEP_MIN
+    brackets (same floats).  Roots with |c| > 1e-12 are dropped, and a root
+    within 1e-10 of its point's last kept root is merged into it.
 
-    # grazing pairs: interior local minima of |c| below a coarse threshold
-    # (the mask is built term by term to hold one float temporary at a time)
-    absv = np.abs(vs)
-    inner, abs_inner = vs[:, 1:-1], absv[:, 1:-1]
-    graze = abs_inner < 2e-3
-    graze &= abs_inner <= absv[:, :-2]
-    graze &= abs_inner <= absv[:, 2:]
-    graze &= vs[:, :-2] * inner > 0.0
-    graze &= inner * vs[:, 2:] > 0.0
-    gk, gi = np.nonzero(graze)
-    if gk.size:
-        sub = np.linspace(xs[gi], xs[gi + 2], 257, axis=1)
-        sv = scan(gk, sub)
-        for r, j in zip(*np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)):
-            refine(gk[r], sub[r, j], sub[r, j + 1])
-        for r, j in zip(*np.nonzero(sv[:, :-1] == 0.0)):
-            roots[gk[r]].append(sub[r, j])
+    While the crest is horizontal its component through (0, 0) is exactly
+    the graph covered by the maximum sigma-window.  Once it turns vertical
+    (|mu*alpha| > 1) that window also picks up points of the other
+    component, in the cos(psi) < 0 half; those are filtered out, and the
+    points left without any admissible root are the holes.
+    """
 
-    want_positive = crest is CrestBranch.MAXIMUM
-    for k, (ak, phik, Ik, sk) in enumerate(args):
-        found = sorted(roots[k])
-        dedup: list[float] = []
-        for r in found:
-            if not dedup or abs(r - dedup[-1]) > 1e-10:
-                dedup.append(r)
-        if abs(ak) > 1.0:
-            dedup = [r for r in dedup
-                     if (math.cos(phik + Ik * (r - sk)) > 0.0) == want_positive]
-        roots[k] = dedup
-    return roots
+    def __init__(self, crest: CrestBranch, points: int):
+        self.want_positive = crest is CrestBranch.MAXIMUM
+        self.xs, self.sin_xs = _scan_samples(crest)
+        shape = (min(points, _CHUNK), len(self.xs))
+        self.values = np.empty(shape)
+        self.flags = np.empty((3, *shape), dtype=bool)
+
+    def crossings(self, a, I, phi, s) -> tuple[np.ndarray, np.ndarray]:
+        """(point, sigma) of every crossing of the points (a[k], I[k], phi[k],
+        s[k]), a being the crest coefficient; sorted by point, then sigma."""
+        n, xs, last = len(I), self.xs, len(self.xs) - 1
+        # c at the samples, with _crest_fn's operations, in place
+        v = np.subtract(xs, s[:, None], out=self.values[:n])
+        v *= I[:, None]
+        v += phi[:, None]
+        np.sin(v, out=v)
+        v *= a[:, None]
+        v += self.sin_xs
+        # one nonzero pass over the samples with |c| < 2e-3 or a sign change
+        # to the next one (a superset of those with c * c_next < 0)
+        flag, neg, above = self.flags[:, :n]
+        np.less(v, 2e-3, out=flag)
+        flag &= np.greater(v, -2e-3, out=above)
+        np.less(v, 0.0, out=neg)
+        flag[:, :-1] |= np.not_equal(neg[:, :-1], neg[:, 1:], out=above[:, :-1])
+        k, i = np.nonzero(flag)
+        c, c_prev = v[k, i], v[k, np.maximum(i - 1, 0)]
+        c_next = v[k, np.minimum(i + 1, last)]   # c at the last sample: no bracket
+        zero = c == 0.0
+        cross = c * c_next < 0.0
+        point, lo, hi = k[cross], xs[i[cross]], xs[i[cross] + 1]
+        fine_point, fine_zero = k[:0], xs[:0]
+        # grazing pairs: interior local minima of |c| below a coarse threshold
+        graze = ((i > 0) & (i < last) & (np.abs(c) < 2e-3)
+                 & (np.abs(c) <= np.abs(c_prev)) & (np.abs(c) <= np.abs(c_next))
+                 & (c_prev * c > 0.0) & (c * c_next > 0.0))
+        if graze.any():
+            gk, gi = k[graze], i[graze]
+            sub = np.linspace(xs[gi - 1], xs[gi + 1], 257, axis=1)
+            sv = _crest_many(sub, a[gk, None], phi[gk, None], I[gk, None], s[gk, None])
+            sr, sj = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)
+            point, lo = np.append(point, gk[sr]), np.append(lo, sub[sr, sj])
+            hi = np.append(hi, sub[sr, sj + 1])
+            zr, zj = np.nonzero(sv[:, :-1] == 0.0)
+            fine_point, fine_zero = gk[zr], sub[zr, zj]
+
+        args = (a[point], phi[point], I[point], s[point])
+        if len(point) >= _LOCKSTEP_MIN:
+            roots = brentq_many(_crest_many, lo, hi, args=args, xtol=1e-15)
+        else:
+            lanes = zip(*(v.tolist() for v in (lo, hi) + args))
+            roots = np.array([brentq(_crest_fn, x0, x1, args=tuple(rest), xtol=1e-15)
+                              for x0, x1, *rest in lanes])
+        ok = np.abs(_crest_many(roots, *args)) <= 1e-12
+
+        # each point's roots in the order found: scan zeros, refined, fine zeros
+        point = np.concatenate([k[zero], point[ok], fine_point])
+        sigma = np.concatenate([xs[i[zero]], roots[ok], fine_zero])
+        order = np.lexsort((sigma, point))   # stable: equal roots keep that order
+        point, sigma = point[order], sigma[order]
+        keep = np.ones(len(point), dtype=bool)
+        keep[1:] = (point[1:] != point[:-1]) | (sigma[1:] - sigma[:-1] > 1e-10)
+        for j in np.flatnonzero(~keep).tolist():   # runs of close roots
+            kept = j - 1
+            while not keep[kept]:
+                kept -= 1
+            keep[j] = sigma[j] - sigma[kept] > 1e-10
+        point, sigma = point[keep], sigma[keep]
+        cos_psi = np.cos(phi[point] + I[point] * (sigma - s[point]))
+        keep = (np.abs(a[point]) <= 1.0) | ((cos_psi > 0.0) == self.want_positive)
+        return point[keep], sigma[keep]
 
 
 @lru_cache(maxsize=4096)
@@ -232,22 +264,19 @@ def _is_singular(params: ModelParams, I: float) -> bool:
 
 def _select_crossing(params: ModelParams, I: float, phi: float, s: float,
                      sigmas: list[float], branch: Branch) -> float:
-    """Pick one crossing: minimal |tau| for the primary branch, else by psi-domain."""
-    if branch is Branch.SINGLE:
-        # tau = s - sigma; ties broken toward the smaller tau
-        return min(sigmas, key=lambda sig: (abs(s - sig), s - sig))
-    domains = _branch_psi_domains(params, I)
-    if domains is None:
-        # no tangency: the unique crossing serves every branch label
-        return min(sigmas, key=lambda sig: (abs(s - sig), s - sig))
-    candidates = [sig for sig in sigmas
+    """Pick the crossing of minimal |tau| (tau = s - sigma, ties toward the
+    smaller tau); off the primary branch only among its psi-domain's ones."""
+    # with no tangency (domains None) the one crossing serves every label
+    domains = None if branch is Branch.SINGLE else _branch_psi_domains(params, I)
+    if domains is not None:
+        sigmas = [sig for sig in sigmas
                   if in_intervals(wrap_angle(phi + I * (sig - s)), domains[branch],
                                   tol=1e-9)]
-    if not candidates:
-        raise BranchUnavailable(
-            f"no crossing with psi in branch-{branch.value} domain at I={I!r}"
-        )
-    return min(candidates, key=lambda sig: (abs(s - sig), s - sig))
+        if not sigmas:
+            raise BranchUnavailable(
+                f"no crossing with psi in branch-{branch.value} domain at I={I!r}"
+            )
+    return min(sigmas, key=lambda sig: (abs(s - sig), s - sig))
 
 
 def _tau_stars(params: ModelParams, I, phi, s,
@@ -324,8 +353,10 @@ def reduced_poincare_psi(params: ModelParams, I: float, psi: float,
             + amp_A01(params) * math.cos(x))
 
 
-def _grad_at_crossing(params: ModelParams, I: float, ts: TauStar) -> tuple[float, float]:
-    """(d/dI, d/dtheta) of the reduced function from the envelope identity.
+def _grad_at_crossing(params: ModelParams, I: float, tau: float,
+                      psi: float) -> tuple[float, float]:
+    """(d/dI, d/dtheta) of the reduced function from the envelope identity,
+    at a crossing with segment time tau and crest angle psi.
 
     The crossing condition kills every d tau/d(I, theta) term, leaving
       d/dtheta = -A10(I) sin(psi),
@@ -334,9 +365,9 @@ def _grad_at_crossing(params: ModelParams, I: float, ts: TauStar) -> tuple[float
     finite_diff_grad in every regime.
     """
     a10 = amp_A10(params, I)
-    sin_psi = math.sin(ts.psi)
+    sin_psi = math.sin(psi)
     d_theta = -a10 * sin_psi
-    d_i = amp_A10_deriv(params, I) * math.cos(ts.psi) + ts.tau * a10 * sin_psi
+    d_i = amp_A10_deriv(params, I) * math.cos(psi) + tau * a10 * sin_psi
     return d_i, d_theta
 
 
@@ -373,7 +404,7 @@ def grad_reduced_poincare(params: ModelParams, I: float, theta: float,
     """
     ts = tau_star(params, I, theta, crest, branch)
     _check_tangency(params, I, ts.psi, crest)
-    return _grad_at_crossing(params, I, ts)
+    return _grad_at_crossing(params, I, ts.tau, ts.psi)
 
 
 def _check_tangency(params: ModelParams, I: float, psi: float,
@@ -453,7 +484,7 @@ def symmetry_check_mu(params: ModelParams, n: int = 20,
         for p, ts in ((params, ts_left), (flipped, ts_right)):
             if isinstance(ts, ScatmapError):
                 raise ts
-            d_i, d_phi = _grad_at_crossing(p, Ik, ts)
+            d_i, d_phi = _grad_at_crossing(p, Ik, ts.tau, ts.psi)
             steps.append((Ik + p.eps * d_phi, phik - p.eps * d_i))
         (left_i, left_phi), (right_i, right_phi) = steps
         max_di = max(max_di, abs(left_i - right_i))

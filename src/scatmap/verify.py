@@ -1,11 +1,12 @@
 """Independent numerical oracles for the closed forms.
 
-Everything here recomputes a quantity the rest of the library obtains in
-closed form, by a route that shares no code with it: direct quadrature for
-the splitting potential, full 5D integration for the action jump across one
-homoclinic excursion, and a gradient scan for the admissible perturbation
-size along a highway.  SciPy's integrators are imported inside the
-functions that use them, so importing this module does not load SciPy.
+The oracles recompute a quantity the rest of the library obtains in closed
+form, by a route that shares no code with it: direct quadrature for the
+splitting potential, and full 5D integration (of model.full_vector_field)
+for the action jump across one homoclinic excursion.  epsilon_star scans
+the envelope gradient along a highway for the admissible perturbation
+size.  SciPy's integrators are imported inside the functions that use
+them, so importing this module does not load SciPy.
 """
 from __future__ import annotations
 
@@ -21,14 +22,14 @@ from .model import (
     FullState,
     ModelParams,
     amp_A10,
-    amp_A10_deriv,
     crest_coefficient,
+    full_vector_field,
     perturbation_g,
     separatrix,
     wrap_angle,
 )
 from .crests import xi_max_raw
-from .scattering import CrestBranch, tau_star_full
+from .scattering import CrestBranch, _grad_at_crossing, tau_star_full
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,6 @@ def melnikov_quadrature_oracle(params: ModelParams, I: float, phi: float,
     return val
 
 
-def _rhs(params: ModelParams, y):
-    p, q, I, phi, s = y
-    g = params.a00 + params.a10 * math.cos(phi) + params.a01 * math.cos(s)
-    return [
-        math.sin(q) * (1.0 + params.eps * g),
-        p,
-        params.eps * params.a10 * math.cos(q) * math.sin(phi),
-        I,
-        1.0,
-    ]
-
-
 def integrate_full(params: ModelParams, state: FullState, T: float,
                    tol: float = 1e-10, n_samples: int = 200,
                    max_step: float = math.inf,
@@ -92,27 +81,23 @@ def integrate_full(params: ModelParams, state: FullState, T: float,
     """
     if not math.isfinite(T):
         raise ValueError("T must be finite")
-    y0 = [state.p, state.q, state.I, state.phi, state.s]
-    from scipy.integrate import solve_ivp
-    t_eval = np.linspace(0.0, T, max(2, n_samples))
-    sol = solve_ivp(lambda t, y: _rhs(params, y), (0.0, T), y0, method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, t_eval=t_eval,
-                    max_step=max_step, first_step=first_step)
-    if not sol.success:
-        raise StepFailure(f"integrator failed: {sol.message}")
+    sol = _integrate(params, [state.p, state.q, state.I, state.phi, state.s], T,
+                     tol, tol * 1e-2, t_eval=np.linspace(0.0, T, max(2, n_samples)),
+                     max_step=max_step, first_step=first_step)
     states = [FullState(p=sol.y[0, k], q=sol.y[1, k], I=sol.y[2, k],
                         phi=sol.y[3, k], s=sol.y[4, k])
               for k in range(sol.y.shape[1])]
     return Trajectory(times=sol.t, states=states, tolerances=(tol * 1e-2, tol))
 
 
-def _integrate_raw(params: ModelParams, y0, T: float, rtol: float, atol: float):
+def _integrate(params: ModelParams, y0, T: float, rtol: float, atol: float, **options):
+    """solve_ivp (DOP853) of the full 5D flow from y0 over [0, T]."""
     from scipy.integrate import solve_ivp
-    sol = solve_ivp(lambda t, y: _rhs(params, y), (0.0, T), y0, method="DOP853",
-                    rtol=rtol, atol=atol)
+    sol = solve_ivp(lambda t, y: full_vector_field(params, y), (0.0, T), y0,
+                    method="DOP853", rtol=rtol, atol=atol, **options)
     if not sol.success:
         raise StepFailure(f"integrator failed: {sol.message}")
-    return sol.y[:, -1]
+    return sol
 
 
 def _inner_backflow(params: ModelParams, I: float, phi: float, T0: float):
@@ -158,7 +143,7 @@ def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
     p0, q0 = separatrix(ts.tau - T0)
     I0, phi0 = _inner_backflow(params, I, phi, T0)
     y0 = [p0, q0, I0, phi0, s - T0]
-    yf = _integrate_raw(params, y0, 2.0 * T0, rtol=rtol, atol=rtol * 0.1)
+    yf = _integrate(params, y0, 2.0 * T0, rtol, rtol * 0.1).y[:, -1]
 
     G0 = 0.5 * y0[2] ** 2 + params.eps * params.a10 * math.cos(y0[3])
     Gf = 0.5 * yf[2] ** 2 + params.eps * params.a10 * math.cos(yf[3])
@@ -170,10 +155,7 @@ def gradient_norm_on_highway(params: ModelParams, I: float,
     """Norm of the reduced-function gradient at the lane point of action I."""
     psi = highway_psi(params, abs(I), side)
     tau = -xi_max_raw(params, abs(I), psi)
-    a10 = amp_A10(params, abs(I))
-    d_theta = -a10 * math.sin(psi)
-    d_i = amp_A10_deriv(params, abs(I)) * math.cos(psi) + tau * a10 * math.sin(psi)
-    return math.hypot(d_i, d_theta)
+    return math.hypot(*_grad_at_crossing(params, abs(I), tau, psi))
 
 
 def epsilon_star(params: ModelParams, I_star: float,

@@ -151,7 +151,7 @@ class TestScatteringTime:
     def test_shi_lower_bound(self, p06):
         for i0, i1 in ((0.0, 2.0), (0.5, 3.0)):
             ts = df.time_Ts(p06, i0, i1, Side.RIGHT)
-            bound = (df.shi(i1 * math.pi / 2) - df.shi(i0 * math.pi / 2)) / (
+            bound = (shichi(i1 * math.pi / 2)[0] - shichi(i0 * math.pi / 2)[0]) / (
                 TWO_PI * p06.a10)
             assert ts >= bound
 
@@ -182,39 +182,6 @@ class TestScatteringTime:
     def test_domain_check(self, p09):
         with pytest.raises(NotInDomain):
             df.time_Ts(p09, 0.0, 2.0, Side.RIGHT)
-
-
-class TestShi:
-    def test_zero_and_odd(self):
-        assert df.shi(0.0) == 0.0
-        for x in (0.3, 1.7, 2.5, 6.0):
-            assert df.shi(-x) == -df.shi(x)
-
-    def test_adaptive_simpson_oracle(self):
-        def simpson(f, a, b, tol):
-            def rec(a, b, fa, fm, fb, whole, tol):
-                m = 0.5 * (a + b)
-                lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-                flm, frm = f(lm), f(rm)
-                left = (m - a) / 6 * (fa + 4 * flm + fm)
-                right = (b - m) / 6 * (fm + 4 * frm + fb)
-                if abs(left + right - whole) <= 15 * tol:
-                    return left + right + (left + right - whole) / 15
-                return (rec(a, m, fa, flm, fm, left, tol / 2)
-                        + rec(m, b, fm, frm, fb, right, tol / 2))
-
-            m = 0.5 * (a + b)
-            fa, fm, fb = f(a), f(m), f(b)
-            whole = (b - a) / 6 * (fa + 4 * fm + fb)
-            return rec(a, b, fa, fm, fb, whole, tol)
-
-        f = lambda t: math.sinh(t) / t if t != 0.0 else 1.0
-        ref = simpson(f, 0.0, 1.0, 1e-14)
-        assert abs(df.shi(1.0) - ref) <= 1e-12
-
-    def test_scipy_cross_check(self):
-        for x in (0.5, 1.0, 1.9, 2.1, 4.0, 8.0):
-            assert df.shi(x) == pytest.approx(shichi(x)[0], rel=1e-12)
 
 
 class TestTravelTime:

@@ -1,42 +1,53 @@
-import math
 
 import numpy as np
 import pytest
 
 from scatmap import ModelParams
-from scatmap.errors import NoCrossing, ScatmapError
-from scatmap.gridkernels import reduced_poincare_grid, reduced_poincare_row
+from scatmap.crests import CrestBranch
+from scatmap.errors import NoCrossing
+from scatmap.gridkernels import reduced_poincare_grid
 from scatmap.model import TWO_PI
 from scatmap.scattering import reduced_poincare
 
 THETAS = np.linspace(0.0, TWO_PI, 40, endpoint=False)
 
 
-def scalar_row(params, I):
-    out = np.empty(len(THETAS))
-    for j, th in enumerate(THETAS):
-        try:
-            out[j] = reduced_poincare(params, I, float(th))
-        except NoCrossing:
-            out[j] = np.nan
+def scalar_grid(params, I_vals, thetas, crest=CrestBranch.MAXIMUM):
+    """Scalar reduced_poincare cell by cell, NaN where the segment misses."""
+    out = np.empty((len(I_vals), len(thetas)))
+    for i, I in enumerate(np.asarray(I_vals).tolist()):
+        for j, th in enumerate(np.asarray(thetas).tolist()):
+            try:
+                out[i, j] = reduced_poincare(params, I, th, crest)
+            except NoCrossing:
+                out[i, j] = np.nan
     return out
 
 
 def test_matches_scalar_single_regime(p06):
     I_vals = np.linspace(-2.5, 2.5, 7)
     Z = reduced_poincare_grid(p06, I_vals, THETAS)
-    for i, I in enumerate(I_vals):
-        ref = scalar_row(p06, float(I))
-        np.testing.assert_allclose(Z[i], ref, atol=1e-10)
+    assert np.array_equal(Z, scalar_grid(p06, I_vals, THETAS), equal_nan=True)
 
 
 def test_matches_scalar_holes_regime(p15):
-    Z = reduced_poincare_grid(p15, np.array([1.0]), THETAS)[0]
-    ref = scalar_row(p15, 1.0)
-    assert np.array_equal(np.isnan(Z), np.isnan(ref))
+    # at theta = pi (THETAS[20]) many of these actions have two admissible
+    # roots +-r, exactly symmetric; the tie goes to +r (the smaller tau)
+    I_vals = np.linspace(-3.5, 3.5, 141)
+    Z = reduced_poincare_grid(p15, I_vals, THETAS)
+    ref = scalar_grid(p15, I_vals, THETAS)
     good = ~np.isnan(ref)
     assert good.sum() > 0 and (~good).sum() > 0
-    np.testing.assert_allclose(Z[good], ref[good], atol=1e-9)
+    assert np.array_equal(Z, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("mu", [0.6, 0.9, 1.5])
+def test_minimum_crest_matches_scalar(mu):
+    params = ModelParams(0.0, mu, 1.0, eps=0.01)
+    I_vals = np.linspace(-3.3, 3.1, 9)
+    Z = reduced_poincare_grid(params, I_vals, THETAS, CrestBranch.MINIMUM)
+    ref = scalar_grid(params, I_vals, THETAS, CrestBranch.MINIMUM)
+    assert np.array_equal(Z, ref, equal_nan=True)
 
 
 def test_even_rows(p06):
@@ -55,21 +66,13 @@ def test_full_grid_matches_scalar(mu):
     params = ModelParams(0.0, mu, 1.0, eps=0.01)
     I_vals, thetas = README_I[5::10], README_THETA[4::8]
     Z = reduced_poincare_grid(params, I_vals, thetas)
-    ref = np.empty_like(Z)
-    for i, I in enumerate(I_vals.tolist()):
-        for j, th in enumerate(thetas.tolist()):
-            try:
-                ref[i, j] = reduced_poincare(params, I, th)
-            except NoCrossing:
-                ref[i, j] = np.nan
-    assert np.array_equal(np.isnan(Z), np.isnan(ref))
-    np.testing.assert_allclose(Z, ref, atol=1e-12)
+    assert np.array_equal(Z, scalar_grid(params, I_vals, thetas), equal_nan=True)
 
 
 def test_primary_crossing_picked_by_root(p15):
     # two brackets whose midpoints tie in |sigma|: the refined root decides
     I, theta = float(README_I[55]), float(README_THETA[164])
     assert (round(I, 4), round(theta, 4)) == (-2.8972, 2.5761)
-    value = reduced_poincare_row(p15, I, README_THETA)[164]
+    value = reduced_poincare_grid(p15, README_I[55:56], README_THETA)[0, 164]
     assert round(value, 6) == 2.029773
-    assert value == pytest.approx(reduced_poincare(p15, I, theta), abs=1e-12)
+    assert value == reduced_poincare(p15, I, theta)

@@ -124,28 +124,26 @@ class TestShapeFunctions:
 
 class TestVectorField:
     def test_on_torus(self, p06):
-        st5 = m.FullState(p=0.0, q=0.0, I=0.8, phi=1.1, s=2.0)
-        d = m.full_vector_field(p06, st5)
-        assert d.p == 0.0
-        assert d.I == pytest.approx(p06.eps * p06.a10 * math.sin(1.1), rel=1e-15)
-        assert d.phi == 0.8
-        assert d.s == 1.0
+        dp, dq, dI, dphi, ds = m.full_vector_field(p06, (0.0, 0.0, 0.8, 1.1, 2.0))
+        assert dp == 0.0
+        assert dI == pytest.approx(p06.eps * p06.a10 * math.sin(1.1), rel=1e-15)
+        assert dphi == 0.8
+        assert ds == 1.0
 
     def test_action_frozen_unperturbed(self):
         p = ModelParams(a00=0.3, a10=0.6, a01=1.0, eps=0.0)
-        d = m.full_vector_field(p, m.FullState(p=1.0, q=2.0, I=0.5, phi=0.7, s=0.1))
-        assert d.I == 0.0
+        assert m.full_vector_field(p, (1.0, 2.0, 0.5, 0.7, 0.1))[2] == 0.0
 
     def test_matches_separatrix_derivative(self):
         p = ModelParams(a00=0.0, a10=0.6, a01=1.0, eps=0.0)
         h = 1e-5
         for t in (-2.0, -0.5, 0.0, 0.7, 1.9):
             p0, q0 = m.separatrix(t)
-            d = m.full_vector_field(p, m.FullState(p=p0, q=q0, I=0.0, phi=0.0, s=0.0))
+            dp, dq, *_ = m.full_vector_field(p, (p0, q0, 0.0, 0.0, 0.0))
             pdot = (m.separatrix(t + h)[0] - m.separatrix(t - h)[0]) / (2 * h)
             qdot = (m.separatrix(t + h)[1] - m.separatrix(t - h)[1]) / (2 * h)
-            assert d.p == pytest.approx(pdot, abs=1e-10)
-            assert d.q == pytest.approx(qdot, abs=1e-10)
+            assert dp == pytest.approx(pdot, abs=1e-10)
+            assert dq == pytest.approx(qdot, abs=1e-10)
 
 
 class TestInnerFirstIntegral:

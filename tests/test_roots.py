@@ -1,4 +1,5 @@
-"""roots.brentq and roots.golden_max against SciPy, float for float.
+"""roots.brentq and roots.golden_max against SciPy, float for float, and
+roots.brentq_many against roots.brentq.
 
 Every bracket the library solves is drawn here: crest crossings in all three
 regimes (both crests, s != 0), highway lanes, the critical-action scans and
@@ -23,7 +24,7 @@ from scatmap.crests import (
 )
 from scatmap.highways import level_gap
 from scatmap.model import TWO_PI, alpha, beta, crest_coefficient
-from scatmap.roots import brentq, golden_max
+from scatmap.roots import brentq, brentq_many, golden_max
 
 MUS = (0.6, 0.9, 1.5)   # single map, tangency, holes
 
@@ -54,24 +55,55 @@ def sign_brackets(f, xs):
             if v0 * v1 < 0.0]
 
 
-@given(st.sampled_from(MUS), st.sampled_from([CrestBranch.MAXIMUM, CrestBranch.MINIMUM]),
-       st.floats(-4.0, 4.0), st.floats(0.0, TWO_PI), st.floats(-1.5, 4.5))
-@settings(max_examples=150, deadline=None)
-def test_crest_brackets(mu, crest, I, phi, s):
-    p = params(mu)
+def crest_brackets(p, crest, I, phi, s):
+    """The crest function's arguments and its brackets on the kernel's scan,
+    with sub-brackets as fine as the grazing rescan's (1/256 of a cell)."""
     args = (crest_coefficient(p, I), phi, I, s)
     f = lambda x: sc._crest_fn(x, *args)
     lo, hi = sc._sigma_window(crest)
     n = max(8, int(math.ceil((hi - lo) / sc._SCAN_STEP)))
     xs = np.linspace(lo, hi, n + 1).tolist()
     brackets = sign_brackets(f, xs)
-    # the grazing rescan's brackets are as fine as 1/256 of a scan cell
     for x0, x1 in brackets[:2]:
         sub = np.linspace(x0, x1, 257).tolist()
         brackets += sign_brackets(f, sub)
+    return args, brackets
+
+
+@given(st.sampled_from(MUS), st.sampled_from([CrestBranch.MAXIMUM, CrestBranch.MINIMUM]),
+       st.floats(-4.0, 4.0), st.floats(0.0, TWO_PI), st.floats(-1.5, 4.5))
+@settings(max_examples=150, deadline=None)
+def test_crest_brackets(mu, crest, I, phi, s):
+    args, brackets = crest_brackets(params(mu), crest, I, phi, s)
     for x0, x1 in brackets:
         r = assert_same(sc._crest_fn, x0, x1, args=args, xtol=1e-15)
         assert isinstance(r, float)
+
+
+@given(st.sampled_from(MUS), st.sampled_from([CrestBranch.MAXIMUM, CrestBranch.MINIMUM]),
+       st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, TWO_PI),
+                          st.floats(-1.5, 4.5)), min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_brentq_many_equals_brentq(mu, crest, points):
+    # one lockstep call over every bracket of several segments: coarse and
+    # fine brackets converge after different numbers of iterations, and a
+    # segment through the origin (phi = s = 0) has c(0) = 0 at a bracket end
+    p = params(mu)
+    lanes = []
+    for I, phi, s in points + [(points[0][0], 0.0, 0.0)]:
+        args, brackets = crest_brackets(p, crest, I, phi, s)
+        lanes += [(x0, x1, *args) for x0, x1 in brackets]
+        if s == 0.0 and phi == 0.0:
+            lanes += [(0.0, 0.25, *args), (-0.25, 0.0, *args)]
+    x0, x1, *args = (np.array(v) for v in zip(*lanes))
+    # the lockstep lanes reproduce brentq only if np.sin gives math.sin's floats
+    ends = np.concatenate([x0, x1])
+    assert sc._crest_many(ends, *(np.tile(v, 2) for v in args)).tolist() == [
+        sc._crest_fn(x, *lane[2:]) for x, lane in zip(ends.tolist(), lanes + lanes)
+    ], "np.sin and math.sin differ here: brentq_many cannot equal brentq"
+    roots = brentq_many(sc._crest_many, x0, x1, args=tuple(args), xtol=1e-15)
+    assert roots.tolist() == [brentq(sc._crest_fn, a, b, args=tuple(rest), xtol=1e-15)
+                              for a, b, *rest in lanes]
 
 
 @given(st.sampled_from(MUS), st.sampled_from(["left", "right"]),
@@ -143,6 +175,21 @@ def test_errors_match_scipy(f, a, b):
     ours = outcome(brentq, f, a, b, xtol=1e-300)
     assert isinstance(ours, tuple)
     assert ours == outcome(optimize.brentq, f, a, b, xtol=1e-300)
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x * x + 1.0, -1.0, 1.0),
+    (lambda x: math.nan, 0.0, 1.0),
+    (lambda x: x - 0.5 if x < 1.5 else math.nan, 0.0, 2.0),
+    (lambda x: math.nan if 0.3 < x < 1.5 else x - 0.5, 0.0, 2.0),
+    (lambda x: -1.0 if x < 1e-200 else 1.0, -1e300, 1e300),
+])
+def test_brentq_many_errors_match_brentq(f, a, b):
+    many = lambda x: np.array([f(v) for v in x.tolist()])
+    ours = outcome(lambda g, a, b, **kw: brentq_many(g, [a], [b], **kw), many, a, b,
+                   xtol=1e-300)
+    assert isinstance(ours, tuple)
+    assert ours == outcome(brentq, f, a, b, xtol=1e-300)
 
 
 def test_xtol_must_be_positive():

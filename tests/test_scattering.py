@@ -212,6 +212,27 @@ class TestCrossingKernel:
         got = assert_same_roots(p09, I, phi, [0.0] * len(I), MAX)
         assert any(len(r) == 3 and min(np.diff(r)) < sc._SCAN_STEP for r in got)
 
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_both_refinement_paths(self, mu, n, monkeypatch):
+        # a batch with fewer than _LOCKSTEP_MIN brackets refines them with
+        # the brentq loop, a larger one in one brentq_many call
+        lockstep = []
+        many = sc.brentq_many
+
+        def counted(f, a, b, **kw):
+            lockstep.append(len(a))
+            return many(f, a, b, **kw)
+
+        monkeypatch.setattr(sc, "brentq_many", counted)
+        rng = np.random.default_rng(n)
+        I = rng.uniform(-3.5, 3.5, n)
+        I = I[np.abs(np.abs([crest_coefficient(as_mu(mu), v) for v in I]) - 1.0) > 1e-9]
+        phi, s = rng.uniform(0.0, TWO_PI, len(I)), rng.uniform(-1.0, 1.0, len(I))
+        assert_same_roots(as_mu(mu), I.tolist(), phi.tolist(), s.tolist(), MAX)
+        assert all(m >= sc._LOCKSTEP_MIN for m in lockstep)
+        assert bool(lockstep) == (n > sc._LOCKSTEP_MIN)
+
     def test_scalar_arguments(self, p09):
         # a batch of one, as tau_star_full and scattering_branches make
         assert list(sc._crossings(p09, 1.5, 2.0, 0.3, MAX)) == [
