@@ -366,11 +366,9 @@ def cmd_verify(args) -> int:
         checks.append(("homoclinic action jump vs first-order prediction", ok,
                        f"measured {meas:.6e}, predicted {pred:.6e}"))
 
-    failed = 0
-    for name, ok, detail in checks:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        failed += 0 if ok else 1
-    return 1 if failed else 0
+    _Writer(args.out).write("\n".join(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
+                                      for name, ok, detail in checks))
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 # ------------------------------------------------------------------- parser

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .crests import critical_actions, tangency_points, alpha_max
+from .crests import alpha_max, critical_actions, tangency_points, theta_of_psi
 from .errors import (
     BranchUnavailable,
     ConstantUndefined,
@@ -29,7 +29,7 @@ from .errors import (
     StalledProgress,
     TangencyPoint,
 )
-from .highways import Side, highway_psi, highway_theta
+from .highways import Side, highway_psi
 from .model import (
     TWO_PI,
     ModelParams,
@@ -42,10 +42,10 @@ from .scattering import (
     Branch,
     CrestBranch,
     ReducedPoint,
-    TauStar,
+    _OK,
     _check_tangency,
     _grad_at_crossing,
-    _tau_stars,
+    _primary,
     grad_reduced_poincare,
 )
 
@@ -166,30 +166,31 @@ def _region_constants(params: ModelParams, I_lo: float, I_hi: float,
     """(L, K): max gradient norm and max Hessian norm over a phase-space grid.
 
     Each grid cell takes the gradient at five points (the cell and its
-    central-difference stencil); the crossings of all of them come from one
-    kernel call, and a cell is skipped where any of its five gradients is
-    undefined.
+    central-difference stencil); the primary crossings of all of them come
+    from one _primary call, and a cell is skipped where any of its five
+    gradients is undefined.
     """
     h = 1e-5
     I = np.repeat(np.linspace(I_lo, I_hi, grid_n), grid_n)
     theta = np.tile(np.linspace(0.0, TWO_PI, grid_n, endpoint=False), grid_n)
     I_pts = np.stack([I, I + h, I - h, I, I], axis=1).ravel()
     th_pts = np.stack([theta, theta, theta, theta + h, theta - h], axis=1).ravel()
-    stars = _tau_stars(params, I_pts, th_pts, 0.0)
+    tau, psi, _, why = _primary(params, I_pts, th_pts, 0.0)
+    I_pts, tau, psi = I_pts.tolist(), tau.tolist(), psi.tolist()
+    found = (why == _OK).reshape(-1, 5).all(axis=1).tolist()
 
-    def grad(k: int, ts: TauStar) -> tuple[float, float]:
-        _check_tangency(params, float(I_pts[k]), ts.psi)
-        return _grad_at_crossing(params, float(I_pts[k]), ts.tau, ts.psi)
+    def grad(k: int) -> tuple[float, float]:
+        _check_tangency(params, I_pts[k], psi[k])
+        return _grad_at_crossing(params, I_pts[k], tau[k], psi[k])
 
     L = 0.0
     K = 0.0
     for k in range(0, len(I_pts), 5):
-        cell = [next(stars) for _ in range(5)]
-        if not all(isinstance(ts, TauStar) for ts in cell):
+        if not found[k // 5]:
             continue
         try:
             (gi, gt), (gi_p, gt_p), (gi_m, gt_m), (gi_tp, gt_tp), (gi_tm, gt_tm) = \
-                [grad(k + j, ts) for j, ts in enumerate(cell)]
+                [grad(k + j) for j in range(5)]
         except TangencyPoint:
             continue
         L = max(L, math.hypot(gi, gt))
@@ -224,7 +225,7 @@ def propagated_error_bound(params: ModelParams, n: int, dev: float,
 
 
 def _lane_theta(params: ModelParams, I: float, side: Side) -> float:
-    return highway_theta(params, I, highway_psi(params, I, side))
+    return theta_of_psi(params, I, highway_psi(params, I, side))
 
 
 def _deviation(params: ModelParams, pt: ReducedPoint, side: Side) -> float:
@@ -357,12 +358,12 @@ def _admissible_window(params: ModelParams, I: float) -> tuple[float, float]:
     if info is not None:
         return wrap_angle(info.theta2), TWO_PI
     # vertical crest ("holes"): sample admissible theta near the top arc
-    thetas = np.linspace(math.pi, TWO_PI, 257).tolist()
-    good = [theta for theta, ts in zip(thetas, _tau_stars(params, I, thetas, 0.0))
-            if isinstance(ts, TauStar) and math.pi < ts.psi < TWO_PI]
-    if not good:
+    thetas = np.linspace(math.pi, TWO_PI, 257)
+    psi = _primary(params, I, thetas, 0.0)[1]   # NaN where a line misses
+    good = thetas[(math.pi < psi) & (psi < TWO_PI)]
+    if not good.size:
         raise BranchUnavailable(f"no admissible torus line found at I = {I!r}")
-    return min(good), max(good)
+    return float(good.min()), float(good.max())
 
 
 def build_pseudo_orbit_general(params: ModelParams, I_star: float,

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .crests import critical_actions, tangency_points, xi_max_raw
+from .crests import critical_actions, tangency_points, theta_of_psi, xi_max_raw
 from .errors import NotInDomain
 from .model import (
     TWO_PI,
@@ -86,17 +86,12 @@ def highway_psi(params: ModelParams, I: float, side: Side = Side.RIGHT,
     return brentq(f, lo + pad, hi - pad, xtol=1e-14)
 
 
-def highway_theta(params: ModelParams, I: float, psi: float) -> float:
-    """Torus-line label of the lane point; kept unreduced inside (0, 2*pi)."""
-    return psi - I * xi_max_raw(params, I, psi)
-
-
 def _sample(params: ModelParams, I: float, side: Side,
             psi_hint: float | None) -> HighwaySample:
     psi = highway_psi(params, I, side, psi_hint)
     return HighwaySample(
         I=I,
-        theta=highway_theta(params, I, psi),
+        theta=theta_of_psi(params, I, psi),
         psi=psi,
         side=side,
         residual=level_gap(params, I, psi),

@@ -10,16 +10,15 @@ with smallest |tau| (tau = -sigma for the theta-anchored segment) defines the
 primary map; inside a tangency band three crossings coexist and are told
 apart by which psi-interval (branch A/B/C) they fall in.
 
-One crossing kernel, _CrossingScan, serves every caller and takes many
-points at once: through _crossings tau_star_full is a batch of one and the
-bulk callers (the error-bound constants, the admissible-window scan, the
-mu-flip symmetry check) make one call each; the portrait grid
-(gridkernels) scans its cells in chunks.
+One function, _primary, finds the primary crossing of many points at once,
+on one crossing kernel (_crossings), and every caller reads it:
+tau_star_full is a batch of one, and the bulk callers (the portrait grid,
+the error-bound constants, the admissible-window scan, the mu-flip symmetry
+check) pass arrays.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -32,6 +31,7 @@ from .crests import (
     dxi_max_dpsi,
     tangency_points,
     theta_of_psi,
+    xi,
 )
 from .errors import (
     BranchUnavailable,
@@ -64,6 +64,8 @@ _CHUNK = 256
 _LOCKSTEP_MIN = 64
 # reject gradients closer to a tangency than this in |d theta / d psi|
 _TANGENCY_GUARD = 1e-6
+# _primary's reason codes: a primary crossing, or why there is none
+_OK, _SINGULAR, _MISSES, _OFF_BRANCH = range(4)
 
 
 class Branch(Enum):
@@ -118,27 +120,31 @@ def _crest_many(sig, a, phi, I, s):
     return a * np.sin(phi + I * (sig - s)) + np.sin(sig)
 
 
-def _crossings(params: ModelParams, I, phi, s,
-               crest: CrestBranch) -> Iterator[list[float]]:
-    """The sorted sigmas in the crest window with c(sigma) = 0 (to 1e-12) of
-    each point (I[k], phi[k], s[k]) in turn.  Chunks of _CHUNK points are
-    scanned as they are consumed, so nothing is held for all points at once.
-    """
-    I, phi, s = _points(I, phi, s)
-    scan = _CrossingScan(crest, len(I))
-    for start in range(0, len(I), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        a = np.array([crest_coefficient(params, v) for v in I[part].tolist()])
-        point, sigma = scan.crossings(a, I[part], phi[part], s[part])
-        ends = np.searchsorted(point, np.arange(len(a) + 1)).tolist()
-        sigma = sigma.tolist()
-        yield from (sigma[lo:hi] for lo, hi in zip(ends, ends[1:]))
-
-
 def _points(I, phi, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scalars or 1-D arrays broadcast to three 1-D float arrays (views)."""
     return tuple(np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
                                        for v in (I, phi, s))))
+
+
+def _wrap_angles(x):
+    """model.wrap_angle on arrays, with its operations."""
+    y = np.fmod(x, TWO_PI)
+    y = np.where(y < 0.0, y + TWO_PI, y)
+    return np.where(y >= TWO_PI, 0.0, y) + 0.0
+
+
+def _window_s(s):
+    """Time angles reduced into the window (-pi/2, 3*pi/2]."""
+    s = _wrap_angles(np.asarray(s, dtype=float))
+    return np.where(s > 1.5 * math.pi, s - TWO_PI, s)
+
+
+def _coefficients(params: ModelParams, I: np.ndarray) -> np.ndarray:
+    """crest_coefficient at each action, computed once per distinct action
+    (a grid block holds few)."""
+    actions = I.tolist()
+    coeff = {v: crest_coefficient(params, v) for v in set(actions)}
+    return np.array([coeff[v] for v in actions])
 
 
 @lru_cache(maxsize=2)
@@ -149,15 +155,17 @@ def _scan_samples(crest: CrestBranch) -> tuple[np.ndarray, np.ndarray]:
     return xs, np.sin(xs)
 
 
-class _CrossingScan:
-    """Crest crossings of up to _CHUNK points per call, as flat arrays; the
-    scan's working arrays are reused from call to call.
+def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray]:
+    """(point, sigma) of every crossing of the segments through (I[k], phi[k],
+    s[k]) with the crest, a[k] being the crest coefficient: the sigmas in the
+    crest window with c(sigma) = 0 (to 1e-12), sorted by point, then sigma.
 
-    A coarse scan of c over the window's samples finds exact zeros and
-    sign-change brackets; cells holding a grazing pair (local |c| minimum
-    without sign change) are rescanned finely so that near-tangency double
-    roots are not dropped.  All brackets of a call are refined at once, by
-    roots.brentq_many, or by a roots.brentq loop below _LOCKSTEP_MIN
+    The points are scanned _CHUNK at a time in working arrays reused from
+    chunk to chunk.  A coarse scan of c over the window's samples finds exact
+    zeros and sign-change brackets; cells holding a grazing pair (local |c|
+    minimum without sign change) are rescanned finely so that near-tangency
+    double roots are not dropped.  All brackets of a chunk are refined at
+    once, by roots.brentq_many, or by a roots.brentq loop below _LOCKSTEP_MIN
     brackets (same floats).  Roots with |c| > 1e-12 are dropped, and a root
     within 1e-10 of its point's last kept root is merged into it.
 
@@ -167,54 +175,54 @@ class _CrossingScan:
     component, in the cos(psi) < 0 half; those are filtered out, and the
     points left without any admissible root are the holes.
     """
-
-    def __init__(self, crest: CrestBranch, points: int):
-        self.want_positive = crest is CrestBranch.MAXIMUM
-        self.xs, self.sin_xs = _scan_samples(crest)
-        shape = (min(points, _CHUNK), len(self.xs))
-        self.values = np.empty(shape)
-        self.flags = np.empty((3, *shape), dtype=bool)
-
-    def crossings(self, a, I, phi, s) -> tuple[np.ndarray, np.ndarray]:
-        """(point, sigma) of every crossing of the points (a[k], I[k], phi[k],
-        s[k]), a being the crest coefficient; sorted by point, then sigma."""
-        n, xs, last = len(I), self.xs, len(self.xs) - 1
+    want_positive = crest is CrestBranch.MAXIMUM
+    xs, sin_xs = _scan_samples(crest)
+    last = len(xs) - 1
+    values = np.empty((min(len(I), _CHUNK), len(xs)))
+    flags = np.empty((3, *values.shape), dtype=bool)
+    points, sigmas = [], []
+    for start in range(0, len(I), _CHUNK):
+        ca, cI, cphi, cs = (v[start:start + _CHUNK] for v in (a, I, phi, s))
+        n = len(cI)
         # c at the samples, with _crest_fn's operations, in place
-        v = np.subtract(xs, s[:, None], out=self.values[:n])
-        v *= I[:, None]
-        v += phi[:, None]
+        v = np.subtract(xs, cs[:, None], out=values[:n])
+        v *= cI[:, None]
+        v += cphi[:, None]
         np.sin(v, out=v)
-        v *= a[:, None]
-        v += self.sin_xs
+        v *= ca[:, None]
+        v += sin_xs
         # one nonzero pass over the samples with |c| < 2e-3 or a sign change
         # to the next one (a superset of those with c * c_next < 0)
-        flag, neg, above = self.flags[:, :n]
+        flag, neg, above = flags[:, :n]
         np.less(v, 2e-3, out=flag)
         flag &= np.greater(v, -2e-3, out=above)
         np.less(v, 0.0, out=neg)
         flag[:, :-1] |= np.not_equal(neg[:, :-1], neg[:, 1:], out=above[:, :-1])
         k, i = np.nonzero(flag)
-        c, c_prev = v[k, i], v[k, np.maximum(i - 1, 0)]
-        c_next = v[k, np.minimum(i + 1, last)]   # c at the last sample: no bracket
+        c, c_next = v[k, i], v[k, np.minimum(i + 1, last)]   # last sample: no bracket
         zero = c == 0.0
         cross = c * c_next < 0.0
         point, lo, hi = k[cross], xs[i[cross]], xs[i[cross] + 1]
         fine_point, fine_zero = k[:0], xs[:0]
         # grazing pairs: interior local minima of |c| below a coarse threshold
-        graze = ((i > 0) & (i < last) & (np.abs(c) < 2e-3)
-                 & (np.abs(c) <= np.abs(c_prev)) & (np.abs(c) <= np.abs(c_next))
-                 & (c_prev * c > 0.0) & (c * c_next > 0.0))
-        if graze.any():
-            gk, gi = k[graze], i[graze]
-            sub = np.linspace(xs[gi - 1], xs[gi + 1], 257, axis=1)
-            sv = _crest_many(sub, a[gk, None], phi[gk, None], I[gk, None], s[gk, None])
-            sr, sj = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)
-            point, lo = np.append(point, gk[sr]), np.append(lo, sub[sr, sj])
-            hi = np.append(hi, sub[sr, sj + 1])
-            zr, zj = np.nonzero(sv[:, :-1] == 0.0)
-            fine_point, fine_zero = gk[zr], sub[zr, zj]
+        small = np.abs(c) < 2e-3
+        if small.any():
+            c_prev = v[k, np.maximum(i - 1, 0)]
+            graze = (small & (i > 0) & (i < last)
+                     & (np.abs(c) <= np.abs(c_prev)) & (np.abs(c) <= np.abs(c_next))
+                     & (c_prev * c > 0.0) & (c * c_next > 0.0))
+            if graze.any():
+                gk, gi = k[graze], i[graze]
+                sub = np.linspace(xs[gi - 1], xs[gi + 1], 257, axis=1)
+                sv = _crest_many(sub, ca[gk, None], cphi[gk, None], cI[gk, None],
+                                 cs[gk, None])
+                sr, sj = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)
+                point, lo = np.append(point, gk[sr]), np.append(lo, sub[sr, sj])
+                hi = np.append(hi, sub[sr, sj + 1])
+                zr, zj = np.nonzero(sv[:, :-1] == 0.0)
+                fine_point, fine_zero = gk[zr], sub[zr, zj]
 
-        args = (a[point], phi[point], I[point], s[point])
+        args = (ca[point], cphi[point], cI[point], cs[point])
         if len(point) >= _LOCKSTEP_MIN:
             roots = brentq_many(_crest_many, lo, hi, args=args, xtol=1e-15)
         else:
@@ -226,19 +234,24 @@ class _CrossingScan:
         # each point's roots in the order found: scan zeros, refined, fine zeros
         point = np.concatenate([k[zero], point[ok], fine_point])
         sigma = np.concatenate([xs[i[zero]], roots[ok], fine_zero])
-        order = np.lexsort((sigma, point))   # stable: equal roots keep that order
-        point, sigma = point[order], sigma[order]
-        keep = np.ones(len(point), dtype=bool)
-        keep[1:] = (point[1:] != point[:-1]) | (sigma[1:] - sigma[:-1] > 1e-10)
-        for j in np.flatnonzero(~keep).tolist():   # runs of close roots
-            kept = j - 1
-            while not keep[kept]:
-                kept -= 1
-            keep[j] = sigma[j] - sigma[kept] > 1e-10
-        point, sigma = point[keep], sigma[keep]
-        cos_psi = np.cos(phi[point] + I[point] * (sigma - s[point]))
-        keep = (np.abs(a[point]) <= 1.0) | ((cos_psi > 0.0) == self.want_positive)
-        return point[keep], sigma[keep]
+        if len(point) > 1:
+            order = np.lexsort((sigma, point))   # stable: equal roots keep that order
+            point, sigma = point[order], sigma[order]
+            keep = np.ones(len(point), dtype=bool)
+            keep[1:] = (point[1:] != point[:-1]) | (sigma[1:] - sigma[:-1] > 1e-10)
+            for j in np.flatnonzero(~keep).tolist():   # runs of close roots
+                kept = j - 1
+                while not keep[kept]:
+                    kept -= 1
+                keep[j] = sigma[j] - sigma[kept] > 1e-10
+            point, sigma = point[keep], sigma[keep]
+        if (np.abs(ca) > 1.0).any():
+            cos_psi = np.cos(cphi[point] + cI[point] * (sigma - cs[point]))
+            keep = (np.abs(ca[point]) <= 1.0) | ((cos_psi > 0.0) == want_positive)
+            point, sigma = point[keep], sigma[keep]
+        points.append(point + start)
+        sigmas.append(sigma)
+    return np.concatenate(points), np.concatenate(sigmas)
 
 
 @lru_cache(maxsize=4096)
@@ -258,57 +271,59 @@ def _branch_psi_domains(params: ModelParams, I: float) -> dict[Branch, tuple[tup
     }
 
 
-def _is_singular(params: ModelParams, I: float) -> bool:
-    return abs(abs(crest_coefficient(params, I)) - 1.0) <= 1e-12
+def _primary(params: ModelParams, I, phi, s,
+             crest: CrestBranch = CrestBranch.MAXIMUM,
+             branch: Branch = Branch.SINGLE):
+    """The primary crossing of each segment through (I[k], phi[k], s[k]), the
+    anchor's s first reduced into the window (-pi/2, 3*pi/2].
 
-
-def _select_crossing(params: ModelParams, I: float, phi: float, s: float,
-                     sigmas: list[float], branch: Branch) -> float:
-    """Pick the crossing of minimal |tau| (tau = s - sigma, ties toward the
-    smaller tau); off the primary branch only among its psi-domain's ones."""
-    # with no tangency (domains None) the one crossing serves every label
-    domains = None if branch is Branch.SINGLE else _branch_psi_domains(params, I)
-    if domains is not None:
-        sigmas = [sig for sig in sigmas
-                  if in_intervals(wrap_angle(phi + I * (sig - s)), domains[branch],
-                                  tol=1e-9)]
-        if not sigmas:
-            raise BranchUnavailable(
-                f"no crossing with psi in branch-{branch.value} domain at I={I!r}"
-            )
-    return min(sigmas, key=lambda sig: (abs(s - sig), s - sig))
-
-
-def _tau_stars(params: ModelParams, I, phi, s,
-               crest: CrestBranch = CrestBranch.MAXIMUM,
-               branch: Branch = Branch.SINGLE) -> Iterator[TauStar | ScatmapError]:
-    """tau_star_full at each point (I[k], phi[k], s[k]) in turn, from one
-    kernel call; where tau_star_full would raise, the exception is yielded.
+    It is the crossing of minimal |tau| (tau = s - sigma), ties toward the
+    smaller tau; off the SINGLE branch, where the action has a tangency band,
+    only crossings with psi in that branch's psi-domain count.  Returns the
+    arrays tau, psi, sigma (NaN where there is no primary crossing) and why:
+    _OK, or the reason there is none (_SINGULAR, _MISSES, _OFF_BRANCH).
     """
-    # reduce each anchor's s into the window (-pi/2, 3*pi/2]
-    s = [v - TWO_PI if v > 1.5 * math.pi else v
-         for v in map(wrap_angle, np.atleast_1d(np.asarray(s, dtype=float)).tolist())]
-    I, phi, s = _points(I, phi, s)
-    # the kernel also scans singular points; their roots are not used
-    for k, sigmas in enumerate(_crossings(params, I, phi, s, crest)):
-        Ik, phik, sk = float(I[k]), float(phi[k]), float(s[k])
-        if _is_singular(params, Ik):
-            yield SingularCrest(f"crest is singular at I = {Ik!r}")
-            continue
-        if not sigmas:
-            yield NoCrossing(
-                f"segment through (I={Ik!r}, phi={phik!r}, s={sk!r}) misses the "
-                f"{crest.value} crest"
-            )
-            continue
-        try:
-            sig = _select_crossing(params, Ik, phik, sk, sigmas, branch)
-        except BranchUnavailable as exc:
-            yield exc
-            continue
-        tau = sk - sig
-        yield TauStar(tau=tau, psi=wrap_angle(phik - Ik * tau), sigma=sig,
-                      crest=crest, branch=branch)
+    I, phi, s = _points(I, phi, _window_s(s))
+    a = _coefficients(params, I)
+    point, sigma = _crossings(a, I, phi, s, crest)
+    tau = s[point] - sigma
+    psi = _wrap_angles(phi[point] - I[point] * tau)
+    singular = np.abs(np.abs(a) - 1.0) <= 1e-12
+    keep = ~singular[point]   # a singular crest's roots are not used
+    if branch is not Branch.SINGLE:
+        # with no tangency (domains None) the one crossing serves every label
+        for j in np.flatnonzero(keep).tolist():
+            domains = _branch_psi_domains(params, float(I[point[j]]))
+            keep[j] = domains is None or in_intervals(psi[j], domains[branch], tol=1e-9)
+    why = np.full(len(I), _MISSES)
+    why[point] = _OFF_BRANCH
+    point, tau, psi, sigma = point[keep], tau[keep], psi[keep], sigma[keep]
+    order = np.lexsort((tau, np.abs(tau), point))
+    ordered = point[order]
+    first = np.ones(len(order), dtype=bool)   # each point's first in that order
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first = order[first]
+    k = point[first]
+    why[k] = _OK
+    why[singular] = _SINGULAR
+    out = np.full((3, len(I)), np.nan)
+    out[:, k] = tau[first], psi[first], sigma[first]
+    return out[0], out[1], out[2], why
+
+
+def _miss(why: int, I: float, phi: float, s: float, crest: CrestBranch,
+          branch: Branch) -> ScatmapError:
+    """The error tau_star_full raises for reason code why at (I, phi, s)."""
+    if why == _SINGULAR:
+        return SingularCrest(f"crest is singular at I = {I!r}")
+    if why == _MISSES:
+        return NoCrossing(
+            f"segment through (I={I!r}, phi={phi!r}, s={float(_window_s(s))!r}) "
+            f"misses the {crest.value} crest"
+        )
+    return BranchUnavailable(
+        f"no crossing with psi in branch-{branch.value} domain at I={I!r}"
+    )
 
 
 def tau_star_full(params: ModelParams, I: float, phi: float, s: float,
@@ -322,10 +337,11 @@ def tau_star_full(params: ModelParams, I: float, phi: float, s: float,
     reduced into that window, so a point already on a crest reports tau = 0
     regardless of how its time angle was stored.
     """
-    ts, = _tau_stars(params, I, phi, s, crest, branch)
-    if isinstance(ts, ScatmapError):
-        raise ts
-    return ts
+    tau, psi, sigma, why = _primary(params, I, phi, s, crest, branch)
+    if why[0] != _OK:
+        raise _miss(int(why[0]), float(I), float(phi), float(s), crest, branch)
+    return TauStar(tau=float(tau[0]), psi=float(psi[0]), sigma=float(sigma[0]),
+                   crest=crest, branch=branch)
 
 
 def tau_star(params: ModelParams, I: float, theta: float,
@@ -347,7 +363,6 @@ def reduced_poincare(params: ModelParams, I: float, theta: float,
 def reduced_poincare_psi(params: ModelParams, I: float, psi: float,
                          crest: CrestBranch = CrestBranch.MAXIMUM) -> float:
     """Crest-angle form A00 + A10(I) cos(psi) + A01 cos(xi(I, psi)); no root-finding."""
-    from .crests import xi  # local import to keep module init cheap
     x = xi(params, crest, I, psi)
     return (amp_A00(params) + amp_A10(params, I) * math.cos(psi)
             + amp_A01(params) * math.cos(x))
@@ -437,8 +452,8 @@ def scattering_branches(params: ModelParams, I: float, theta: float,
     info = tangency_points(params, I)
     if coeff > 1.0:
         # vertical crest: a crossing may or may not exist at this theta
-        sigmas, = _crossings(params, I, theta, 0.0, crest)
-        avail = (Branch.SINGLE,) if sigmas else ()
+        why = _primary(params, I, theta, 0.0, crest)[3]
+        avail = (Branch.SINGLE,) if why[0] == _OK else ()
         return BranchSet(available=avail, domains={}, tangency=None)
     if info is None:
         return BranchSet(available=(Branch.SINGLE,), domains={}, tangency=None)
@@ -475,16 +490,16 @@ def symmetry_check_mu(params: ModelParams, n: int = 20,
     flipped = replace(params, a01=-params.a01)
     I = np.repeat(np.linspace(I_range[0], I_range[1], n), n)
     phi = np.tile(np.linspace(0.0, TWO_PI, n, endpoint=False), n)
-    left = _tau_stars(params, I, phi, math.pi, CrestBranch.MINIMUM)
-    right = _tau_stars(flipped, I, phi, 0.0, CrestBranch.MAXIMUM)
+    sides = ((params, math.pi, CrestBranch.MINIMUM), (flipped, 0.0, CrestBranch.MAXIMUM))
+    crossings = [_primary(p, I, phi, s, crest) for p, s, crest in sides]
     max_di = 0.0
     max_dphi = 0.0
-    for Ik, phik, ts_left, ts_right in zip(I.tolist(), phi.tolist(), left, right):
+    for k, (Ik, phik) in enumerate(zip(I.tolist(), phi.tolist())):
         steps = []
-        for p, ts in ((params, ts_left), (flipped, ts_right)):
-            if isinstance(ts, ScatmapError):
-                raise ts
-            d_i, d_phi = _grad_at_crossing(p, Ik, ts.tau, ts.psi)
+        for (p, s, crest), (tau, psi, _, why) in zip(sides, crossings):
+            if why[k] != _OK:
+                raise _miss(int(why[k]), Ik, phik, s, crest, Branch.SINGLE)
+            d_i, d_phi = _grad_at_crossing(p, Ik, float(tau[k]), float(psi[k]))
             steps.append((Ik + p.eps * d_phi, phik - p.eps * d_i))
         (left_i, left_phi), (right_i, right_phi) = steps
         max_di = max(max_di, abs(left_i - right_i))

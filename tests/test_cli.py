@@ -237,6 +237,30 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out
 
 
+class TestOutPath:
+    # each command's --out file holds exactly what it writes to stdout
+    # without --out, and with --out nothing goes to stdout
+    @pytest.mark.parametrize("argv", [
+        ["regime", "--mu", "0.9"],
+        ["crests", "--mu", "0.6", "--I", "1.2", "--grid", "8"],
+        ["portrait", "--mu", "1.5", "--grid", "12"],
+        ["highways", "--mu", "0.6", "--imin", "-1", "--imax", "1", "--step", "0.5"],
+        ["tangency", "--mu", "0.9", "--imin", "1.1", "--imax", "3.0", "--grid", "5"],
+        ["orbit", "--mu", "0.6", "--eps", "0.05", "--Istar", "1"],
+        ["difftime", "--mu", "0.6", "--eps", "0.01", "--Istar", "1"],
+        ["epsstar", "--mu", "0.9", "--Istar", "4", "--grid", "41"],
+        ["verify", "--fast"],
+    ])
+    def test_file_holds_stdout(self, tmp_path, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        path = tmp_path / "out.txt"
+        code, out_with_path, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert out_with_path == ""
+        assert path.read_text() == out
+
+
 class TestNonFiniteParams:
     @pytest.mark.parametrize("argv,field", [
         (["regime", "--mu", "nan"], "a10"),

@@ -14,7 +14,7 @@ from scatmap.errors import (
     NotInDomain,
     StalledProgress,
 )
-from scatmap.highways import Side, highway_psi, highway_theta
+from scatmap.highways import Side, highway_psi
 from scatmap.model import TWO_PI, wrap_signed
 from scatmap.scattering import ReducedPoint, flow_reduced_hamiltonian, scattering_step
 

@@ -4,22 +4,23 @@ import pytest
 
 from scatmap import ModelParams
 from scatmap.crests import CrestBranch
-from scatmap.errors import NoCrossing
+from scatmap.errors import NoCrossing, SingularCrest
 from scatmap.gridkernels import reduced_poincare_grid
-from scatmap.model import TWO_PI
+from scatmap.model import TWO_PI, crest_coefficient
 from scatmap.scattering import reduced_poincare
 
 THETAS = np.linspace(0.0, TWO_PI, 40, endpoint=False)
 
 
 def scalar_grid(params, I_vals, thetas, crest=CrestBranch.MAXIMUM):
-    """Scalar reduced_poincare cell by cell, NaN where the segment misses."""
+    """Scalar reduced_poincare cell by cell, NaN where it raises: the segment
+    misses the crest or the crest is singular."""
     out = np.empty((len(I_vals), len(thetas)))
     for i, I in enumerate(np.asarray(I_vals).tolist()):
         for j, th in enumerate(np.asarray(thetas).tolist()):
             try:
                 out[i, j] = reduced_poincare(params, I, th, crest)
-            except NoCrossing:
+            except (NoCrossing, SingularCrest):
                 out[i, j] = np.nan
     return out
 
@@ -32,12 +33,14 @@ def test_matches_scalar_single_regime(p06):
 
 def test_matches_scalar_holes_regime(p15):
     # at theta = pi (THETAS[20]) many of these actions have two admissible
-    # roots +-r, exactly symmetric; the tie goes to +r (the smaller tau)
-    I_vals = np.linspace(-3.5, 3.5, 141)
+    # roots +-r, exactly symmetric; the tie goes to +r (the smaller tau).
+    # The last action makes the crest coefficient exactly 1: a singular row
+    I_vals = np.append(np.linspace(-3.5, 3.5, 141), 0.5041156496613117)
+    assert crest_coefficient(p15, I_vals[-1]) == 1.0
     Z = reduced_poincare_grid(p15, I_vals, THETAS)
     ref = scalar_grid(p15, I_vals, THETAS)
     good = ~np.isnan(ref)
-    assert good.sum() > 0 and (~good).sum() > 0
+    assert good.sum() > 0 and (~good).sum() > 0 and np.isnan(ref[-1]).all()
     assert np.array_equal(Z, ref, equal_nan=True)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import scatmap.highways as hw
 from scatmap import ModelParams
+from scatmap.crests import theta_of_psi
 from scatmap.errors import NotInDomain
 from scatmap.scattering import grad_reduced_poincare
 from scatmap.model import wrap_angle
@@ -20,7 +21,7 @@ class TestLaneRoot:
             math.pi / 2, abs=1e-12)
         # theta coincides with psi at I = 0
         psi = hw.highway_psi(p06, 0.0, hw.Side.RIGHT)
-        assert hw.highway_theta(p06, 0.0, psi) == pytest.approx(3 * math.pi / 2)
+        assert theta_of_psi(p06, 0.0, psi) == pytest.approx(3 * math.pi / 2)
 
     def test_root_bracketed_by_sign_change(self, p06):
         psi = hw.highway_psi(p06, 2.0, hw.Side.RIGHT)

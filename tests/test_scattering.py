@@ -83,20 +83,31 @@ def ref_crossings(params, I, phi, s, crest):
     return dedup
 
 
-def ref_tau_star(params, I, phi, s=0.0, crest=MAX):
-    """Primary crossing on the reference scan, one point at a time."""
-    if sc._is_singular(params, I):
-        raise SingularCrest("singular crest")
+def ref_tau_star(params, I, phi, s=0.0, crest=MAX, branch=sc.Branch.SINGLE):
+    """Primary crossing on the reference scan, one point at a time; raises
+    the error tau_star_full raises, with its message."""
+    if abs(abs(crest_coefficient(params, I)) - 1.0) <= 1e-12:
+        raise SingularCrest(f"crest is singular at I = {I!r}")
     s = wrap_angle(s)
     if s > 1.5 * math.pi:
         s -= TWO_PI
     sigmas = ref_crossings(params, I, phi, s, crest)
     if not sigmas:
-        raise NoCrossing("no crossing")
+        raise NoCrossing(f"segment through (I={I!r}, phi={phi!r}, s={s!r}) misses "
+                         f"the {crest.value} crest")
+    # off the SINGLE branch, inside a tangency band, only the crossings with
+    # psi in the branch's psi-domain count
+    domains = None if branch is sc.Branch.SINGLE else sc._branch_psi_domains(params, I)
+    if domains is not None:
+        sigmas = [x for x in sigmas
+                  if in_intervals(wrap_angle(phi + I * (x - s)), domains[branch], tol=1e-9)]
+        if not sigmas:
+            raise BranchUnavailable(
+                f"no crossing with psi in branch-{branch.value} domain at I={I!r}")
     sig = min(sigmas, key=lambda x: (abs(s - x), s - x))
     tau = s - sig
     return sc.TauStar(tau=tau, psi=wrap_angle(phi - I * tau), sigma=sig,
-                      crest=crest, branch=sc.Branch.SINGLE)
+                      crest=crest, branch=branch)
 
 
 def ref_grad(params, I, ts):
@@ -107,8 +118,15 @@ def ref_grad(params, I, ts):
     return d_i, d_theta
 
 
+def crossing_lists(params, I, phi, s, crest):
+    """The kernel's crossings of each point, as one sorted list per point."""
+    I, phi, s = sc._points(I, phi, s)
+    point, sigma = sc._crossings(sc._coefficients(params, I), I, phi, s, crest)
+    return [sigma[point == k].tolist() for k in range(len(I))]
+
+
 def assert_same_roots(params, I, phi, s, crest):
-    got = list(sc._crossings(params, I, phi, s, crest))
+    got = crossing_lists(params, I, phi, s, crest)
     want = [ref_crossings(params, float(i), float(p), float(q), crest)
             for i, p, q in zip(I, phi, s)]
     assert got == want
@@ -164,7 +182,7 @@ class TestTauStar:
     def test_three_crossings_in_band(self, p09):
         info = tangency_points(p09, 1.5)
         theta = 0.5 * (info.theta1 + info.theta2)
-        sigmas, = sc._crossings(p09, [1.5], [theta], [0.0], MAX)
+        sigmas, = crossing_lists(p09, [1.5], [theta], [0.0], MAX)
         assert len(sigmas) == 3
 
     def test_no_crossing_in_hole(self, p15):
@@ -198,6 +216,10 @@ class TestCrossingKernel:
         I = np.linspace(-3.5, 3.5, 141).tolist()
         got = assert_same_roots(p15, I, [math.pi] * len(I), [0.0] * len(I), MAX)
         assert any(len(r) == 2 and r[0] == -r[1] for r in got)
+        # the primary crossing of a tie is +r, the smaller tau
+        sigma = sc._primary(p15, I, math.pi, 0.0)[2].tolist()
+        assert all(sig == r[1] > 0.0 for r, sig in zip(got, sigma)
+                   if len(r) == 2 and r[0] == -r[1])
 
     def test_grazing_pairs_near_tangency(self, p09):
         # just inside the band edges two roots sit closer than one scan step,
@@ -235,7 +257,7 @@ class TestCrossingKernel:
 
     def test_scalar_arguments(self, p09):
         # a batch of one, as tau_star_full and scattering_branches make
-        assert list(sc._crossings(p09, 1.5, 2.0, 0.3, MAX)) == [
+        assert crossing_lists(p09, 1.5, 2.0, 0.3, MAX) == [
             ref_crossings(p09, 1.5, 2.0, 0.3, MAX)]
 
     @pytest.mark.parametrize("mu", MUS)
@@ -312,6 +334,40 @@ class TestCrossingKernel:
             return
         rep = sc.symmetry_check_mu(p, n=8, I_range=I_range)
         assert (rep.max_discrepancy_I, rep.max_discrepancy_phi) == (max_di, max_dphi)
+
+
+class TestPrimary:
+    """_primary on a batch gives, point by point, the reference pick and
+    tau_star_full's result; where there is none, tau_star_full's error."""
+
+    WHY = {SingularCrest: sc._SINGULAR, NoCrossing: sc._MISSES,
+           BranchUnavailable: sc._OFF_BRANCH}
+
+    @given(st.sampled_from(MUS), st.sampled_from([MAX, MIN]), st.sampled_from(list(sc.Branch)),
+           st.sampled_from([0.0, math.pi, None]), st.integers(1, sc._CHUNK + 40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_tau_star_full(self, mu, crest, branch, s0, n, seed):
+        p = as_mu(mu)
+        rng = np.random.default_rng(seed)
+        I = rng.uniform(-3.5, 3.5, n)
+        I[rng.random(n) < 0.05] = 0.5041156496613117   # singular at mu = 1.5
+        phi = rng.uniform(0.0, TWO_PI, n)
+        s = rng.uniform(-7.0, 7.0, n) if s0 is None else np.full(n, s0)
+        tau, psi, sigma, why = sc._primary(p, I, phi, s, crest, branch)
+        for k, point in enumerate(zip(I.tolist(), phi.tolist(), s.tolist())):
+            try:
+                want = ref_tau_star(p, *point, crest, branch)
+            except ScatmapError as exc:
+                with pytest.raises(ScatmapError) as got:
+                    sc.tau_star_full(p, *point, crest, branch)
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+                assert why[k] == self.WHY[type(exc)]
+                assert np.isnan([tau[k], psi[k], sigma[k]]).all()
+                continue
+            assert sc.tau_star_full(p, *point, crest, branch) == want
+            assert why[k] == sc._OK
+            assert (tau[k], psi[k], sigma[k]) == (want.tau, want.psi, want.sigma)
 
 
 class TestReducedPoincare:
@@ -415,10 +471,10 @@ class TestGradient:
         assert worst <= 1e-6
 
     def test_positive_drift_on_right_lane(self, p06):
-        from scatmap.highways import Side, highway_psi, highway_theta
+        from scatmap.highways import Side, highway_psi
         for I in (0.0, 0.8, 2.0, 3.5):
             psi = highway_psi(p06, I, Side.RIGHT)
-            theta = wrap_angle(highway_theta(p06, I, psi))
+            theta = wrap_angle(theta_of_psi(p06, I, psi))
             _, d_theta = sc.grad_reduced_poincare(p06, I, theta)
             assert d_theta > 0.0
 
@@ -432,12 +488,12 @@ class TestScatteringStep:
     def test_level_drift_is_second_order(self):
         # one step changes the reduced function by O(eps^2): halving eps
         # shrinks the drift by ~4 (Hamiltonian-flow property of the map)
-        from scatmap.highways import Side, highway_psi, highway_theta
+        from scatmap.highways import Side, highway_psi
         drifts = []
         for eps in (1e-2, 5e-3, 2.5e-3):
             p = ModelParams(0.0, 0.6, 1.0, eps=eps)
             psi = highway_psi(p, 1.0, Side.RIGHT)
-            pt = sc.ReducedPoint(I=1.0, theta=highway_theta(p, 1.0, psi))
+            pt = sc.ReducedPoint(I=1.0, theta=theta_of_psi(p, 1.0, psi))
             before = sc.reduced_poincare(p, pt.I, pt.theta)
             after_pt = sc.scattering_step(p, pt)
             after = sc.reduced_poincare(p, after_pt.I, after_pt.theta)
