@@ -16,13 +16,11 @@ from .errors import (
 )
 from .model import (
     FullState,
-    MelnikovCoeffs,
     ModelParams,
     alpha,
     beta,
     full_vector_field,
     inner_first_integral,
-    melnikov_coeffs,
     melnikov_potential,
     separatrix,
 )

@@ -36,7 +36,7 @@ from .errors import ScatmapError
 from .gridkernels import reduced_poincare_grid
 from .highways import Side, trace_highway
 from .model import TWO_PI, FullState, ModelParams, melnikov_potential, pendulum_energy
-from .scattering import finite_diff_grad, grad_reduced_poincare, reduced_poincare
+from .scattering import finite_diff_grad, grad_reduced_poincare
 from .verify import (
     epsilon_star,
     integrate_full,
@@ -151,18 +151,15 @@ def _json_chunks(sections):
     yield "\n}"
 
 
-def _emit(args, writer: _Writer, header: list[str], rows: list[list],
-          json_key: str):
-    if args.format == "csv":
-        writer.write_lines(_csv_chunks(header, rows))
-    else:
-        writer.write_lines(_json_chunks([(json_key, header, rows)]))
+def _emit(args, header: list[str], rows: list[list], json_key: str):
+    """One table, as CSV or JSON by --format, to --out or stdout."""
+    _Writer(args.out).write_lines(_csv_chunks(header, rows) if args.format == "csv"
+                                  else _json_chunks([(json_key, header, rows)]))
 
 
 # ----------------------------------------------------------------- commands
 
-def cmd_regime(args) -> int:
-    params = build_params(args)
+def cmd_regime(args, params: ModelParams) -> int:
     rep = classify_regime(params)
     doc = {
         "mu": params.mu,
@@ -182,30 +179,26 @@ def _check_grid(n: int):
         raise ValueError(f"grid resolution must be >= 2, got {n}")
 
 
-def cmd_crests(args) -> int:
-    params = build_params(args)
+def cmd_crests(args, params: ModelParams) -> int:
     _check_grid(args.grid)
     I = args.I
     orientation = crest_orientation(params, I)
+    if orientation is Orientation.SINGULAR:
+        raise ScatmapError(f"crest is singular at I = {I!r}; no parameterization")
     rows = []
-    n = args.grid
     for branch, name in ((CrestBranch.MAXIMUM, "max"), (CrestBranch.MINIMUM, "min")):
-        if orientation is Orientation.HORIZONTAL:
-            for phi in np.linspace(0.0, TWO_PI, n, endpoint=False):
-                s = xi(params, branch, I, float(phi))
-                rows.append([name, float(phi), s, crest_residual(params, I, float(phi), s)])
-        elif orientation is Orientation.VERTICAL:
-            for s in np.linspace(0.0, TWO_PI, n, endpoint=False):
-                phi = eta(params, branch, I, float(s))
-                rows.append([name, phi, float(s), crest_residual(params, I, phi, float(s))])
-        else:
-            raise ScatmapError(f"crest is singular at I = {I!r}; no parameterization")
-    _emit(args, _Writer(args.out), ["branch", "phi", "s", "residual"], rows, "crests")
+        # a horizontal crest is sampled over phi, a vertical one over s
+        for t in np.linspace(0.0, TWO_PI, args.grid, endpoint=False).tolist():
+            if orientation is Orientation.HORIZONTAL:
+                phi, s = t, xi(params, branch, I, t)
+            else:
+                phi, s = eta(params, branch, I, t), t
+            rows.append([name, phi, s, crest_residual(params, I, phi, s)])
+    _emit(args, ["branch", "phi", "s", "residual"], rows, "crests")
     return 0
 
 
-def cmd_portrait(args) -> int:
-    params = build_params(args)
+def cmd_portrait(args, params: ModelParams) -> int:
     _check_grid(args.grid)
     if args.imax <= args.imin:
         raise ValueError("imax must exceed imin")
@@ -214,10 +207,8 @@ def cmd_portrait(args) -> int:
     th_vals = np.linspace(0.0, TWO_PI, n, endpoint=False)
     Z = reduced_poincare_grid(params, I_vals, th_vals)
 
-    levels: list[float] = []
-    if args.levels:
-        levels = [float(tok) for tok in args.levels.split(",")]
-    elif args.nlevels:
+    levels = args.levels or []
+    if not levels and args.nlevels:
         finite = Z[np.isfinite(Z)]
         levels = list(np.linspace(finite.min(), finite.max(), args.nlevels + 2)[1:-1])
 
@@ -254,21 +245,18 @@ def cmd_portrait(args) -> int:
     return 0
 
 
-def cmd_highways(args) -> int:
-    params = build_params(args)
+def cmd_highways(args, params: ModelParams) -> int:
     sides = {"left": [Side.LEFT], "right": [Side.RIGHT],
              "both": [Side.LEFT, Side.RIGHT]}[args.side]
     rows = []
     for side in sides:
         for smp in trace_highway(params, side, args.imin, args.imax, args.step):
             rows.append([side.value, smp.I, smp.theta, smp.psi, smp.residual])
-    _emit(args, _Writer(args.out), ["side", "I", "theta", "psi", "residual"],
-          rows, "highways")
+    _emit(args, ["side", "I", "theta", "psi", "residual"], rows, "highways")
     return 0
 
 
-def cmd_tangency(args) -> int:
-    params = build_params(args)
+def cmd_tangency(args, params: ModelParams) -> int:
     rows = []
     if args.I is not None:
         scan = [args.I]
@@ -279,13 +267,11 @@ def cmd_tangency(args) -> int:
         info = tangency_points(params, float(I))
         if info is not None:
             rows.append([info.I, info.psi1, info.psi2, info.theta1, info.theta2])
-    _emit(args, _Writer(args.out), ["I", "psi1", "psi2", "theta1", "theta2"],
-          rows, "tangency")
+    _emit(args, ["I", "psi1", "psi2", "theta1", "theta2"], rows, "tangency")
     return 0
 
 
-def cmd_orbit(args) -> int:
-    params = build_params(args)
+def cmd_orbit(args, params: ModelParams) -> int:
     if args.ifrom is not None and args.ito is not None:
         orbit = build_pseudo_orbit_highway(params, args.ifrom, args.ito,
                                            c=args.c, a=args.a)
@@ -295,13 +281,11 @@ def cmd_orbit(args) -> int:
     for k, leg in enumerate(orbit.legs):
         for pt in leg.points:
             rows.append([k, leg.mechanism.value, pt.I, pt.theta, leg.model_time])
-    _emit(args, _Writer(args.out), ["leg", "mechanism", "I", "theta", "model_time"],
-          rows, "orbit")
+    _emit(args, ["leg", "mechanism", "I", "theta", "model_time"], rows, "orbit")
     return 0
 
 
-def cmd_difftime(args) -> int:
-    params = build_params(args)
+def cmd_difftime(args, params: ModelParams) -> int:
     if params.eps <= 0.0:
         raise ValueError("difftime requires eps > 0")
     est = diffusion_time(params, args.Istar, c=args.c, a=args.a)
@@ -309,8 +293,7 @@ def cmd_difftime(args) -> int:
     return 0
 
 
-def cmd_epsstar(args) -> int:
-    params = build_params(args)
+def cmd_epsstar(args, params: ModelParams) -> int:
     est = epsilon_star(params, args.Istar, grid=args.grid)
     doc = {"I_star": args.Istar, "eps_star": est.value,
            "envelope": est.envelope, "argmin_I": est.argmin_I}
@@ -318,8 +301,7 @@ def cmd_epsstar(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    params = build_params(args)
+def cmd_verify(args, params: ModelParams) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     rng = np.random.default_rng(12345)
@@ -373,14 +355,21 @@ def cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
-def _add_common(sp: argparse.ArgumentParser):
+def _float_list(text: str) -> list[float]:
+    """--levels: comma-separated floats; the empty string gives none."""
+    return [float(tok) for tok in text.split(",")] if text else []
+
+
+def _add_common(sp: argparse.ArgumentParser, table: bool = False):
+    """Model flags, --out and --config; --format for the table commands."""
     sp.add_argument("--a00", type=float, default=None)
     sp.add_argument("--a10", type=float, default=None)
     sp.add_argument("--a01", type=float, default=None)
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--mu", type=float, default=None,
                     help="sets a10 = mu * a01 unless --a10 is given")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    if table:
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--config", default=None, help="key=value config file")
 
@@ -396,22 +385,23 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_regime)
 
     sp = sub.add_parser("crests", help="sample both crest branches at fixed I")
-    _add_common(sp)
+    _add_common(sp, table=True)
     sp.add_argument("--I", type=float, default=1.2)
     sp.add_argument("--grid", type=int, default=400)
     sp.set_defaults(func=cmd_crests)
 
     sp = sub.add_parser("portrait", help="reduced-function grid and level curves")
-    _add_common(sp)
+    _add_common(sp, table=True)
     sp.add_argument("--imin", type=float, default=-4.0)
     sp.add_argument("--imax", type=float, default=4.0)
     sp.add_argument("--grid", type=int, default=400)
-    sp.add_argument("--levels", default=None, help="comma-separated level values")
+    sp.add_argument("--levels", type=_float_list, default=None,
+                    help="comma-separated level values")
     sp.add_argument("--nlevels", type=int, default=None)
     sp.set_defaults(func=cmd_portrait)
 
     sp = sub.add_parser("highways", help="trace the fast-drift level curves")
-    _add_common(sp)
+    _add_common(sp, table=True)
     sp.add_argument("--imin", type=float, default=-4.0)
     sp.add_argument("--imax", type=float, default=4.0)
     sp.add_argument("--step", type=float, default=1e-2)
@@ -419,7 +409,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_highways)
 
     sp = sub.add_parser("tangency", help="tangency angles over an action range")
-    _add_common(sp)
+    _add_common(sp, table=True)
     sp.add_argument("--I", type=float, default=None)
     sp.add_argument("--imin", type=float, default=0.0)
     sp.add_argument("--imax", type=float, default=4.0)
@@ -427,7 +417,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tangency)
 
     sp = sub.add_parser("orbit", help="build a drift pseudo-orbit")
-    _add_common(sp)
+    _add_common(sp, table=True)
     sp.add_argument("--Istar", type=float, default=4.0)
     sp.add_argument("--ifrom", type=float, default=None)
     sp.add_argument("--ito", type=float, default=None)
@@ -460,7 +450,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        params = build_params(args)   # first: a non-finite model flag names its field
+        for name, value in vars(args).items():
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"--{name} must be finite, got {v!r}")
+        return args.func(args, params)
     except (ValueError, OSError) as exc:
         print(f"scatmap: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -81,9 +81,10 @@ def beta_max() -> tuple[float, float]:
     return x, beta(x)
 
 
-def crest_orientation(params: ModelParams, I: float, tol: float = SINGULAR_TOL) -> Orientation:
+def crest_orientation(params: ModelParams, I: float) -> Orientation:
+    """Crest shape at I: the library's one test of |mu*alpha(I)| against 1."""
     c = abs(crest_coefficient(params, I))
-    if abs(c - 1.0) <= tol:
+    if abs(c - 1.0) <= SINGULAR_TOL:
         return Orientation.SINGULAR
     return Orientation.HORIZONTAL if c < 1.0 else Orientation.VERTICAL
 
@@ -94,21 +95,18 @@ def xi(params: ModelParams, branch: CrestBranch, I: float, phi: float) -> float:
     Raises DomainError when |mu*alpha(I)*sin(phi)| > 1, i.e. where the crest
     cannot be written as a graph over phi (the "holes" situation).
     """
-    u = crest_coefficient(params, I) * math.sin(phi)
+    x = xi_max_raw(params, I, phi)
+    return wrap_angle(x if branch is CrestBranch.MAXIMUM else math.pi - x)
+
+
+def xi_max_raw(params: ModelParams, I: float, psi: float) -> float:
+    """Maximum-crest value in (-pi/2, pi/2), unwrapped; pi minus it is the
+    minimum crest."""
+    u = crest_coefficient(params, I) * math.sin(psi)
     if abs(u) > 1.0:
         raise DomainError(
             f"crest not horizontally parameterizable: |mu*alpha*sin(phi)| = {abs(u):.6g} > 1"
         )
-    if branch is CrestBranch.MAXIMUM:
-        return wrap_angle(-math.asin(u))
-    return wrap_angle(math.asin(u) + math.pi)
-
-
-def xi_max_raw(params: ModelParams, I: float, psi: float) -> float:
-    """Maximum-crest value in (-pi/2, pi/2), unwrapped. Internal workhorse."""
-    u = crest_coefficient(params, I) * math.sin(psi)
-    if abs(u) > 1.0:
-        raise DomainError("crest not horizontally parameterizable here")
     return -math.asin(u)
 
 
@@ -122,9 +120,8 @@ def eta(params: ModelParams, branch: CrestBranch, I: float, s: float) -> float:
         raise DomainError(
             f"crest not vertically parameterizable: |sin(s)/(mu*alpha)| = {abs(u):.6g} > 1"
         )
-    if branch is CrestBranch.MAXIMUM:
-        return wrap_angle(-math.asin(u))
-    return wrap_angle(math.asin(u) + math.pi)
+    x = -math.asin(u)
+    return wrap_angle(x if branch is CrestBranch.MAXIMUM else math.pi - x)
 
 
 def crest_residual(params: ModelParams, I: float, phi: float, s: float) -> float:
@@ -149,15 +146,13 @@ def theta_of_psi(params: ModelParams, I: float, psi: float) -> float:
 def tangency_points(params: ModelParams, I: float) -> TangencyInfo | None:
     """Tangency angles between torus lines and the maximum crest at I.
 
-    Exists iff |I|*|mu|*alpha(I) >= 1 while |mu|*alpha(I) <= 1.  Returns None
-    outside that set (including the vertical-crest case).
+    Exists iff |I|*|mu|*alpha(I) >= 1 while the crest is horizontal.  Returns
+    None outside that set (including the vertical and singular cases).
     """
     a = abs(params.mu) * alpha(I)
     b = abs(I) * a
-    if b < 1.0 or a > 1.0:
-        return None
-    if a >= 1.0 - 1e-15:
-        return None  # singular crest; tangency angles degenerate to pi/2, 3pi/2
+    if b < 1.0 or crest_orientation(params, I) is not Orientation.HORIZONTAL:
+        return None  # at a singular crest the angles degenerate to pi/2, 3pi/2
     r = math.sqrt((b * b - 1.0) / (1.0 - a * a))
     half = math.atan(r)
     psi1 = math.pi - half

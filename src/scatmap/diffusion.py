@@ -19,7 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .crests import alpha_max, critical_actions, tangency_points, theta_of_psi
+from .crests import (
+    Orientation,
+    alpha_max,
+    critical_actions,
+    crest_orientation,
+    tangency_points,
+    theta_of_psi,
+)
 from .errors import (
     BranchUnavailable,
     ConstantUndefined,
@@ -34,7 +41,6 @@ from .model import (
     TWO_PI,
     ModelParams,
     alpha,
-    crest_coefficient,
     wrap_angle,
     wrap_signed,
 )
@@ -224,6 +230,11 @@ def propagated_error_bound(params: ModelParams, n: int, dev: float,
         return math.inf
 
 
+def _rising_side(params: ModelParams) -> Side:
+    """The lane on which the single map increases I: right for a10 > 0."""
+    return Side.RIGHT if params.a10 > 0 else Side.LEFT
+
+
 def _lane_theta(params: ModelParams, I: float, side: Side) -> float:
     return theta_of_psi(params, I, highway_psi(params, I, side))
 
@@ -299,7 +310,34 @@ class _OrbitBuilder:
             error_bound=self.tol_land))
         return new
 
-    def build(self) -> PseudoOrbit:
+    def drift(self, in_band) -> PseudoOrbit:
+        """Scattering bursts from I = region[0] to region[1] (branch A where
+        in_band(I), else the single map), each followed by a rotor leg that
+        aims theta at the middle of branch A's window or back at the lane."""
+        params, (I_start, I_end) = self.params, self.region
+
+        def target(I: float) -> float:
+            if in_band(I):
+                lo, hi = _admissible_window(params, I)
+                return 0.5 * (lo + hi)
+            return _lane_theta(params, I, self.side)
+
+        pt = ReducedPoint(I=I_start, theta=target(I_start))
+        guard = 0
+        while pt.I < I_end:
+            before = pt.I
+            pt = self.scattering_leg(pt, Branch.A if in_band(pt.I) else Branch.SINGLE,
+                                     I_end)
+            if pt.I >= I_end:
+                break
+            if pt.I - before <= self.eps * _STALL_FRACTION:
+                raise StalledProgress(
+                    f"burst advanced I by {pt.I - before!r} at I = {pt.I!r}"
+                )
+            pt = self.inner_leg(pt, target(pt.I))
+            guard += 1
+            if guard > 200_000:
+                raise StalledProgress("leg budget exhausted")
         return PseudoOrbit(legs=tuple(self.legs), c=self.c, a=self.a,
                            steps_per_burst=self.nss)
 
@@ -323,29 +361,14 @@ def build_pseudo_orbit_highway(params: ModelParams, I_start: float, I_end: float
 
     Alternates bursts of at most ceil(eps^-c) truncated scattering steps with
     rotor legs that land theta back within eps^a of the lane.  Raises
-    StalledProgress when a burst advances I by less than eps*1e-3 (always the
-    case at eps = 0) and NotInDomain when the interval touches breakage.
+    StalledProgress when a burst ending short of I_end advances I by less
+    than eps*1e-3 (always the case at eps = 0) and NotInDomain when the
+    interval touches breakage.
     """
     if I_end <= I_start:
         raise ValueError("I_end must exceed I_start (drift increases I)")
     _check_lane_interval(params, I_start, I_end)
-    builder = _OrbitBuilder(params, side, c, a, (I_start, I_end))
-    pt = ReducedPoint(I=I_start, theta=_lane_theta(params, I_start, side))
-    guard = 0
-    while pt.I < I_end:
-        before = pt.I
-        pt = builder.scattering_leg(pt, Branch.SINGLE, I_end)
-        if pt.I - before <= params.eps * _STALL_FRACTION:
-            raise StalledProgress(
-                f"burst advanced I by {pt.I - before!r} at I = {pt.I!r}"
-            )
-        if pt.I >= I_end:
-            break
-        pt = builder.inner_leg(pt, _lane_theta(params, pt.I, side))
-        guard += 1
-        if guard > 200_000:
-            raise StalledProgress("leg budget exhausted")
-    return builder.build()
+    return _OrbitBuilder(params, side, c, a, (I_start, I_end)).drift(lambda I: False)
 
 
 def _admissible_window(params: ModelParams, I: float) -> tuple[float, float]:
@@ -376,45 +399,17 @@ def build_pseudo_orbit_general(params: ModelParams, I_star: float,
     """
     if I_star <= 0.0:
         raise ValueError("I_star must be positive")
-    i_plus, _ = critical_actions(params)
-    if i_plus is None:
-        return build_pseudo_orbit_highway(params, -I_star, I_star,
-                                          Side.RIGHT if params.a10 > 0 else Side.LEFT,
-                                          c, a)
-    side = Side.RIGHT if params.a10 > 0 else Side.LEFT
+    side = _rising_side(params)
+    if critical_actions(params)[0] is None:
+        return build_pseudo_orbit_highway(params, -I_star, I_star, side, c, a)
     builder = _OrbitBuilder(params, side, c, a, (-I_star, I_star))
+    return builder.drift(lambda I: _in_band(params, I))
 
-    def in_band(I: float) -> bool:
-        return tangency_points(params, I) is not None or \
-            abs(crest_coefficient(params, I)) >= 1.0 - 1e-12
 
-    if in_band(-I_star):
-        lo, hi = _admissible_window(params, -I_star)
-        pt = ReducedPoint(I=-I_star, theta=0.5 * (lo + hi))
-    else:
-        pt = ReducedPoint(I=-I_star, theta=_lane_theta(params, -I_star, side))
-
-    guard = 0
-    while pt.I < I_star:
-        before = pt.I
-        banded = in_band(pt.I)
-        branch = Branch.A if banded else Branch.SINGLE
-        pt = builder.scattering_leg(pt, branch, I_star)
-        if pt.I >= I_star:
-            break
-        if pt.I - before <= params.eps * _STALL_FRACTION:
-            raise StalledProgress(
-                f"burst advanced I by {pt.I - before!r} at I = {pt.I!r}"
-            )
-        if in_band(pt.I):
-            lo, hi = _admissible_window(params, pt.I)
-            pt = builder.inner_leg(pt, 0.5 * (lo + hi))
-        else:
-            pt = builder.inner_leg(pt, _lane_theta(params, pt.I, side))
-        guard += 1
-        if guard > 200_000:
-            raise StalledProgress("leg budget exhausted")
-    return builder.build()
+def _in_band(params: ModelParams, I: float) -> bool:
+    """A tangency band or a non-horizontal crest at I: the drift steps branch A."""
+    return (tangency_points(params, I) is not None
+            or crest_orientation(params, I) is not Orientation.HORIZONTAL)
 
 
 def _ts_integrand(params: ModelParams, I: float, side: Side) -> float:
@@ -476,8 +471,7 @@ def diffusion_time(params: ModelParams, I_star: float, c: float = 0.5,
     if params.eps <= 0.0:
         raise ValueError("eps must be positive")
     eps = params.eps
-    ts = time_Ts(params, -I_star, I_star,
-                 Side.RIGHT if params.a10 > 0 else Side.LEFT)
+    ts = time_Ts(params, -I_star, I_star, _rising_side(params))
     th, delta, C = time_Th(params, I_star)
     ns = round(ts / eps)
     nss = math.ceil(eps ** (-c))

@@ -17,14 +17,20 @@ from enum import Enum
 
 import numpy as np
 
-from .crests import critical_actions, tangency_points, theta_of_psi, xi_max_raw
+from .crests import (
+    Orientation,
+    critical_actions,
+    crest_orientation,
+    tangency_points,
+    theta_of_psi,
+    xi_max_raw,
+)
 from .errors import NotInDomain
 from .model import (
     TWO_PI,
     ModelParams,
     amp_A01,
     amp_A10,
-    crest_coefficient,
 )
 from .roots import brentq
 
@@ -68,10 +74,10 @@ def highway_psi(params: ModelParams, I: float, side: Side = Side.RIGHT,
                 psi_hint: float | None = None) -> float:
     """Unique crest angle of the highway lane at action I, to 1e-12.
 
-    Requires the crest to be horizontal at I (|mu*alpha(I)| < 1); raises
+    Requires the crest to be horizontal at I (crest_orientation); raises
     NotInDomain otherwise.  ``psi_hint`` narrows the bracket during traces.
     """
-    if abs(crest_coefficient(params, I)) >= 1.0 - 1e-12:
+    if crest_orientation(params, I) is not Orientation.HORIZONTAL:
         raise NotInDomain(
             f"crest not horizontal at I = {I!r}; highway lane undefined"
         )
@@ -167,12 +173,8 @@ def highway_domain(params: ModelParams, scan_step: float = 1e-2,
     if start is not None:
         extra.append((start, float(band[-1])))
 
-    effective = [(-inf, -i_plusplus), (i_plusplus, inf), (-i_plus, i_plus)]
-    for lo, hi in extra:
-        effective.append((lo, hi))
-        effective.append((-hi, -lo))
-    effective_sorted = tuple(sorted(effective))
-    return HighwayDomain(guaranteed=guaranteed, effective=effective_sorted,
+    effective = [*guaranteed, *extra, *((-hi, -lo) for lo, hi in extra)]
+    return HighwayDomain(guaranteed=guaranteed, effective=tuple(sorted(effective)),
                          I_plus=i_plus, I_plusplus=i_plusplus)
 
 

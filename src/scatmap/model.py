@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 SINH_HALF_PI = math.sinh(math.pi / 2.0)
@@ -91,12 +90,6 @@ class FullState:
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
-class MelnikovCoeffs(NamedTuple):
-    A00: float
-    A10: float
-    A01: float
-
-
 def separatrix(t: float) -> tuple[float, float]:
     """Upper homoclinic loop of the unperturbed pendulum at separatrix time t.
 
@@ -144,14 +137,10 @@ def amp_A10_deriv(params: ModelParams, I: float) -> float:
     return TWO_PI * params.a10 * (sh - I * (math.pi / 2.0) * ch) / sh**2
 
 
-def melnikov_coeffs(params: ModelParams, I: float) -> MelnikovCoeffs:
-    return MelnikovCoeffs(amp_A00(params), amp_A10(params, I), amp_A01(params))
-
-
 def melnikov_potential(params: ModelParams, I: float, phi: float, s: float) -> float:
     """Closed-form splitting potential A00 + A10(I) cos(phi) + A01 cos(s)."""
-    c = melnikov_coeffs(params, I)
-    return c.A00 + c.A10 * math.cos(phi) + c.A01 * math.cos(s)
+    return (amp_A00(params) + amp_A10(params, I) * math.cos(phi)
+            + amp_A01(params) * math.cos(s))
 
 
 def alpha(I: float) -> float:

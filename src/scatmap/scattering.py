@@ -26,8 +26,11 @@ from functools import lru_cache
 import numpy as np
 
 from .crests import (
+    SINGULAR_TOL,
     CrestBranch,
+    Orientation,
     TangencyInfo,
+    crest_orientation,
     dxi_max_dpsi,
     tangency_points,
     theta_of_psi,
@@ -45,11 +48,10 @@ from .highways import in_intervals
 from .model import (
     TWO_PI,
     ModelParams,
-    amp_A00,
-    amp_A01,
     amp_A10,
     amp_A10_deriv,
     crest_coefficient,
+    melnikov_potential,
     wrap_angle,
 )
 from .roots import brentq, brentq_many
@@ -288,7 +290,7 @@ def _primary(params: ModelParams, I, phi, s,
     point, sigma = _crossings(a, I, phi, s, crest)
     tau = s[point] - sigma
     psi = _wrap_angles(phi[point] - I[point] * tau)
-    singular = np.abs(np.abs(a) - 1.0) <= 1e-12
+    singular = np.abs(np.abs(a) - 1.0) <= SINGULAR_TOL   # crest_orientation's test
     keep = ~singular[point]   # a singular crest's roots are not used
     if branch is not Branch.SINGLE:
         # with no tangency (domains None) the one crossing serves every label
@@ -356,16 +358,13 @@ def reduced_poincare(params: ModelParams, I: float, theta: float,
                      branch: Branch = Branch.SINGLE) -> float:
     """Splitting potential evaluated at the crest crossing of the (I, theta) segment."""
     ts = tau_star(params, I, theta, crest, branch)
-    return (amp_A00(params) + amp_A10(params, I) * math.cos(ts.psi)
-            + amp_A01(params) * math.cos(ts.sigma))
+    return melnikov_potential(params, I, ts.psi, ts.sigma)
 
 
 def reduced_poincare_psi(params: ModelParams, I: float, psi: float,
                          crest: CrestBranch = CrestBranch.MAXIMUM) -> float:
     """Crest-angle form A00 + A10(I) cos(psi) + A01 cos(xi(I, psi)); no root-finding."""
-    x = xi(params, crest, I, psi)
-    return (amp_A00(params) + amp_A10(params, I) * math.cos(psi)
-            + amp_A01(params) * math.cos(x))
+    return melnikov_potential(params, I, psi, xi(params, crest, I, psi))
 
 
 def _grad_at_crossing(params: ModelParams, I: float, tau: float,
@@ -446,15 +445,15 @@ def scattering_step(params: ModelParams, pt: ReducedPoint,
 def scattering_branches(params: ModelParams, I: float, theta: float,
                         crest: CrestBranch = CrestBranch.MAXIMUM) -> BranchSet:
     """Which scattering branches exist at (I, theta), with their psi-domains."""
-    coeff = abs(crest_coefficient(params, I))
-    if abs(coeff - 1.0) <= 1e-12:
+    orientation = crest_orientation(params, I)
+    if orientation is Orientation.SINGULAR:
         return BranchSet(available=(), domains={}, tangency=None)
-    info = tangency_points(params, I)
-    if coeff > 1.0:
+    if orientation is Orientation.VERTICAL:
         # vertical crest: a crossing may or may not exist at this theta
         why = _primary(params, I, theta, 0.0, crest)[3]
         avail = (Branch.SINGLE,) if why[0] == _OK else ()
         return BranchSet(available=avail, domains={}, tangency=None)
+    info = tangency_points(params, I)
     if info is None:
         return BranchSet(available=(Branch.SINGLE,), domains={}, tangency=None)
     domains = dict(_branch_psi_domains(params, I))  # copy: cache stays pristine

@@ -18,18 +18,15 @@ import numpy as np
 from .errors import DegenerateAction, NotInDomain, StepFailure
 from .highways import Side, highway_psi
 from .model import (
-    TWO_PI,
     FullState,
     ModelParams,
     amp_A10,
-    crest_coefficient,
     full_vector_field,
     perturbation_g,
     separatrix,
-    wrap_angle,
 )
-from .crests import xi_max_raw
-from .scattering import CrestBranch, _grad_at_crossing, tau_star_full
+from .crests import Orientation, crest_orientation, xi_max_raw
+from .scattering import CrestBranch, _grad_at_crossing, _window_s, tau_star_full
 
 
 @dataclass(frozen=True)
@@ -134,9 +131,7 @@ def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
     if T0 is None:
         T0 = math.log(1.0 / params.eps) + 5.0
     # keep the launch anchored to the same s-representative tau_star uses
-    s = wrap_angle(s)
-    if s > 1.5 * math.pi:
-        s -= TWO_PI
+    s = float(_window_s(s))
     ts = tau_star_full(params, I, phi, s, CrestBranch.MAXIMUM)
     predicted = params.eps * (-amp_A10(params, I) * math.sin(ts.psi))
 
@@ -170,7 +165,7 @@ def epsilon_star(params: ModelParams, I_star: float,
         raise ValueError("I_star must be positive")
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if abs(crest_coefficient(params, I_star)) >= 1.0 - 1e-12:
+    if crest_orientation(params, I_star) is not Orientation.HORIZONTAL:
         raise NotInDomain(f"lane undefined at I = {I_star!r}")
     Is = np.linspace(0.0, I_star, grid)
     vals = np.array([gradient_norm_on_highway(params, float(I)) for I in Is])

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.special import lambertw
 
 import scatmap.diffusion as df
@@ -18,7 +17,7 @@ import scatmap.verify as vf
 from scatmap import ModelParams
 from scatmap.crests import Regime, alpha_max, beta_max, classify_regime, critical_actions
 from scatmap.highways import Side, trace_highway
-from scatmap.model import TWO_PI, melnikov_potential, wrap_angle
+from scatmap.model import TWO_PI, melnikov_potential
 from scatmap.scattering import (
     finite_diff_grad,
     grad_reduced_poincare,

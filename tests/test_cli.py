@@ -268,12 +268,39 @@ class TestNonFiniteParams:
         (["difftime", "--eps", "inf"], "eps"),
         (["regime", "--a00=-inf"], "a00"),
         (["regime", "--a01", "nan"], "a01"),
+        # command flags, checked after the model flags
+        (["tangency", "--imin", "nan"], "--imin"),
+        (["tangency", "--I", "inf"], "--I"),
+        (["crests", "--I", "nan"], "--I"),
+        (["portrait", "--imin", "nan", "--grid", "4"], "--imin"),
+        (["portrait", "--levels", "0.5,nan", "--grid", "4"], "--levels"),
     ])
     def test_config_error_names_field(self, capsys, argv, field):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert f"configuration error: {field} must be finite" in err
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("command", ["regime", "difftime", "epsstar", "verify"])
+    def test_only_table_commands_take_it(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["crests", "--grid", "4"],
+        ["portrait", "--grid", "4"],
+        ["highways", "--imin", "0", "--imax", "0.5", "--step", "0.5"],
+        ["tangency", "--mu", "0.9", "--I", "1.5"],
+        ["orbit", "--eps", "0.05", "--Istar", "0.5"],
+    ])
+    def test_table_commands_honour_it(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert isinstance(json.loads(out), dict)
 
 
 class TestConfigPrecedence:

@@ -90,8 +90,59 @@ class TestTangency:
         for p in (p09, p15):
             for I in np.linspace(1e-3, 5.0, 1000):
                 a = abs(p.mu) * alpha(float(I))
-                predicted = float(I) * a >= 1.0 and a <= 1.0 - 1e-15
+                predicted = (float(I) * a >= 1.0 and cr.crest_orientation(p, float(I))
+                             is cr.Orientation.HORIZONTAL)
                 assert (cr.tangency_points(p, float(I)) is not None) == predicted
+
+
+def _params_at(I: float, c: float) -> ModelParams:
+    """Parameters with |crest_coefficient| at I equal to c, or a float or two
+    off it where no a10 gives c exactly."""
+    a10 = c / alpha(I)
+    for _ in range(8):
+        got = abs(crest_coefficient(ModelParams(0.0, a10, 1.0), I))
+        if got == c:
+            break
+        a10 = math.nextafter(a10, math.inf if got < c else 0.0)
+    return ModelParams(0.0, a10, 1.0, eps=0.01)
+
+
+class TestShapeAgreement:
+    """Every site that decides the crest shape decides as crest_orientation."""
+
+    # |I| * c < 1 at 0.8 (no tangency possible), > 1 at 1.5 and 2.5
+    @pytest.mark.parametrize("I", [0.8, 1.5, -1.5, 2.5])
+    @pytest.mark.parametrize("c", [1.0 + sign * off for sign in (-1.0, 1.0)
+                                   for off in (0.0, 1e-13, 1e-12, 2e-12, 1e-9)])
+    def test_sites_agree(self, I, c):
+        from scatmap.diffusion import _in_band
+        from scatmap.errors import NotInDomain
+        from scatmap.highways import highway_psi
+        from scatmap.scattering import _OK, _SINGULAR, _primary, scattering_branches
+        from scatmap.verify import epsilon_star
+
+        p = _params_at(I, c)
+        shape = cr.crest_orientation(p, I)
+        horizontal = shape is cr.Orientation.HORIZONTAL
+        b = abs(I) * abs(crest_coefficient(p, I))
+
+        assert (cr.tangency_points(p, I) is not None) == (horizontal and b >= 1.0)
+        if horizontal:
+            highway_psi(p, I)
+            epsilon_star(p, abs(I), grid=2)   # samples I = 0 and |I| only
+        else:
+            with pytest.raises(NotInDomain):
+                highway_psi(p, I)
+            with pytest.raises(NotInDomain, match="^lane undefined at"):
+                epsilon_star(p, abs(I), grid=2)
+        # theta = 0 is on the crest, so only a singular crest has no branch
+        branches = scattering_branches(p, I, 0.0)
+        assert (branches.available == ()) == (shape is cr.Orientation.SINGULAR)
+        if b >= 1.0:
+            assert (branches.tangency is not None) == horizontal
+        why = int(_primary(p, I, 0.0, 0.0)[3][0])
+        assert why == (_SINGULAR if shape is cr.Orientation.SINGULAR else _OK)
+        assert _in_band(p, I) == (not horizontal or b >= 1.0)
 
 
 class TestCriticalActions:

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import shichi
 
 import scatmap.diffusion as df
@@ -119,6 +118,13 @@ class TestHighwayOrbit:
         p = ModelParams(0.0, 0.6, 1.0, eps=0.0)
         with pytest.raises(StalledProgress):
             df.build_pseudo_orbit_highway(p, -1.0, 1.0)
+
+    def test_burst_reaching_the_end_is_not_stalled(self):
+        # at I = 9 a step gains about 5e-7 < eps * 1e-3, but it passes I_end
+        p = ModelParams(0.0, 0.6, 1.0, eps=0.01)
+        orbit = df.build_pseudo_orbit_highway(p, 9.0, 9.0 + 1e-9)
+        assert len(orbit.legs) == 1
+        assert orbit.final_point.I >= 9.0 + 1e-9
 
     def test_breakage_band_rejected(self, p09):
         p = ModelParams(0.0, 0.9, 1.0, eps=0.01)
