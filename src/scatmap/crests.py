@@ -162,44 +162,32 @@ def tangency_points(params: ModelParams, I: float) -> TangencyInfo | None:
     return TangencyInfo(I=I, psi1=psi1, psi2=psi2, theta1=theta1, theta2=theta2)
 
 
-def _root_scan(f, lo: float, hi: float, step: float, xtol: float = 1e-14) -> list[float]:
-    """All simple roots of f on [lo, hi] by sign-change scan + Brent refinement."""
-    roots = []
-    n = max(2, int(math.ceil((hi - lo) / step)))
-    xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    fprev = f(xs[0])
-    if fprev == 0.0:
-        roots.append(xs[0])
-    for x0, x1 in zip(xs, xs[1:]):
-        fnext = f(x1)
-        if fnext == 0.0:
-            roots.append(x1)
-        elif fprev * fnext < 0.0:
-            roots.append(brentq(f, x0, x1, xtol=xtol))
-        fprev = fnext
-    return roots
-
-
 def critical_actions(params: ModelParams) -> tuple[float | None, float | None]:
     """Critical actions (I_plus, I_plusplus) bounding highway breakage.
 
     (None, None) while |mu| < 1/max(beta).  Otherwise I_plus is the smallest
     positive root of beta(I) = 1/|mu| (for |mu| <= 1) or of alpha(I) = 1/|mu|
     (for |mu| >= 1), and I_plusplus the largest root of beta(I) = 1/|mu|.
+    alpha and beta are unimodal on I > 0, so each root is one Brent solve
+    between the argmax and an end of [1e-6, 30]; where beta's maximum does
+    not exceed 1/|mu| the two roots of beta merge at its argmax.  Raises
+    ValueError when |mu| is so large that a root leaves that range.
     """
     am = abs(params.mu)
-    _, bmax = beta_max()
+    i_beta, bmax = beta_max()
     if am < 1.0 / bmax:
         return None, None
     target = 1.0 / am
-    beta_roots = _root_scan(lambda x: beta(x) - target, 1e-6, 30.0, 1e-2)
+    if bmax <= target:
+        return i_beta, i_beta
+    lo, hi = 1e-6, 30.0
+    if max(alpha(lo), beta(hi)) >= target:
+        raise ValueError(f"|mu| = {am!r}: a critical action lies outside [{lo}, {hi}]")
+    f = lambda x: beta(x) - target
+    i_plusplus = brentq(f, i_beta, hi, xtol=1e-14)
     if am <= 1.0:
-        i_plus = min(beta_roots) if beta_roots else None
-    else:
-        alpha_roots = _root_scan(lambda x: alpha(x) - target, 1e-6, 30.0, 1e-2)
-        i_plus = min(alpha_roots) if alpha_roots else None
-    i_plusplus = max(beta_roots) if beta_roots else None
-    return i_plus, i_plusplus
+        return brentq(f, lo, i_beta, xtol=1e-14), i_plusplus
+    return brentq(lambda x: alpha(x) - target, lo, alpha_max()[0], xtol=1e-14), i_plusplus
 
 
 def classify_regime(params: ModelParams) -> RegimeReport:

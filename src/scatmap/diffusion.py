@@ -49,9 +49,10 @@ from .scattering import (
     CrestBranch,
     ReducedPoint,
     _OK,
-    _check_tangency,
+    _TANGENCY_GUARD,
     _grad_at_crossing,
     _primary,
+    dtheta_dpsi_at,
     grad_reduced_poincare,
 )
 
@@ -172,9 +173,11 @@ def _region_constants(params: ModelParams, I_lo: float, I_hi: float,
     """(L, K): max gradient norm and max Hessian norm over a phase-space grid.
 
     Each grid cell takes the gradient at five points (the cell and its
-    central-difference stencil); the primary crossings of all of them come
-    from one _primary call, and a cell is skipped where any of its five
-    gradients is undefined.
+    central-difference stencil), whose primary crossings come from one
+    _primary call.  A point's gradient is NaN where it has no primary
+    crossing or sits within _TANGENCY_GUARD of the tangency locus, and a
+    cell holding a NaN is dropped.  K is the spectral norm of the central
+    differences, taken for all cells in one batch.
     """
     h = 1e-5
     I = np.repeat(np.linspace(I_lo, I_hi, grid_n), grid_n)
@@ -182,30 +185,16 @@ def _region_constants(params: ModelParams, I_lo: float, I_hi: float,
     I_pts = np.stack([I, I + h, I - h, I, I], axis=1).ravel()
     th_pts = np.stack([theta, theta, theta, theta + h, theta - h], axis=1).ravel()
     tau, psi, _, why = _primary(params, I_pts, th_pts, 0.0)
-    I_pts, tau, psi = I_pts.tolist(), tau.tolist(), psi.tolist()
-    found = (why == _OK).reshape(-1, 5).all(axis=1).tolist()
-
-    def grad(k: int) -> tuple[float, float]:
-        _check_tangency(params, I_pts[k], psi[k])
-        return _grad_at_crossing(params, I_pts[k], tau[k], psi[k])
-
-    L = 0.0
-    K = 0.0
-    for k in range(0, len(I_pts), 5):
-        if not found[k // 5]:
-            continue
-        try:
-            (gi, gt), (gi_p, gt_p), (gi_m, gt_m), (gi_tp, gt_tp), (gi_tm, gt_tm) = \
-                [grad(k + j) for j in range(5)]
-        except TangencyPoint:
-            continue
-        L = max(L, math.hypot(gi, gt))
-        hess = np.array([
-            [(gi_p - gi_m) / (2 * h), (gi_tp - gi_tm) / (2 * h)],
-            [(gt_p - gt_m) / (2 * h), (gt_tp - gt_tm) / (2 * h)],
-        ])
-        K = max(K, float(np.linalg.norm(hess, 2)))
-    return L, K
+    grad = np.full((len(I_pts), 2), np.nan)
+    for k in np.flatnonzero(why == _OK).tolist():
+        I_k, psi_k = float(I_pts[k]), float(psi[k])
+        if abs(dtheta_dpsi_at(params, I_k, psi_k)) >= _TANGENCY_GUARD:
+            grad[k] = _grad_at_crossing(params, I_k, float(tau[k]), psi_k)
+    grad = grad.reshape(-1, 5, 2)
+    grad = grad[~np.isnan(grad).any(axis=(1, 2))]   # (cell, stencil point, d/dI or d/dtheta)
+    L = max((math.hypot(gi, gt) for gi, gt in grad[:, 0].tolist()), default=0.0)
+    hess = np.stack([grad[:, 1] - grad[:, 2], grad[:, 3] - grad[:, 4]], axis=2) / (2 * h)
+    return L, float(np.linalg.norm(hess, 2, axis=(1, 2)).max(initial=0.0))
 
 
 def propagated_error_bound(params: ModelParams, n: int, dev: float,
@@ -236,12 +225,9 @@ def _rising_side(params: ModelParams) -> Side:
 
 
 def _lane_theta(params: ModelParams, I: float, side: Side) -> float:
-    return theta_of_psi(params, I, highway_psi(params, I, side))
-
-
-def _deviation(params: ModelParams, pt: ReducedPoint, side: Side) -> float:
+    """theta of the lane point at action I; NaN where the lane is undefined."""
     try:
-        return abs(wrap_signed(pt.theta - _lane_theta(params, pt.I, side)))
+        return theta_of_psi(params, I, highway_psi(params, I, side))
     except NotInDomain:
         return math.nan
 
@@ -269,9 +255,10 @@ class _OrbitBuilder:
         self.region = region
         self.th_per_step = _homoclinic_time(params, max(abs(region[0]), abs(region[1])))
 
-    def scattering_leg(self, pt: ReducedPoint, branch: Branch,
-                       stop_I: float) -> ReducedPoint:
-        dev0 = _deviation(self.params, pt, self.side)
+    def scattering_leg(self, pt: ReducedPoint, lane: float, branch: Branch,
+                       stop_I: float) -> tuple[ReducedPoint, float]:
+        """A burst from pt, whose lane theta is lane; returns the end point
+        and the lane theta at its action."""
         points = [pt]
         for _ in range(self.nss):
             try:
@@ -287,54 +274,61 @@ class _OrbitBuilder:
             if pt.I >= stop_I:
                 break
         n = len(points) - 1
-        dev1 = _deviation(self.params, pt, self.side)
+        dev0 = abs(wrap_signed(points[0].theta - lane))
+        lane = _lane_theta(self.params, pt.I, self.side)
         bound = propagated_error_bound(
             self.params, n, dev0 if math.isfinite(dev0) else self.tol_land,
             self.region) if self.eps > 0 else math.inf
         self.legs.append(OrbitLeg(
             mechanism=Mechanism.SCATTERING, points=tuple(points),
-            model_time=n * self.th_per_step,
-            deviation_start=dev0, deviation_end=dev1, error_bound=bound))
-        return pt
+            model_time=n * self.th_per_step, deviation_start=dev0,
+            deviation_end=abs(wrap_signed(pt.theta - lane)), error_bound=bound))
+        return pt, lane
 
-    def inner_leg(self, pt: ReducedPoint, theta_target: float) -> ReducedPoint:
-        dev0 = _deviation(self.params, pt, self.side)
+    def inner_leg(self, pt: ReducedPoint, lane: float,
+                  theta_target: float) -> ReducedPoint:
+        """A rotor leg at the fixed action of pt, whose lane theta is lane."""
         if abs(pt.I) <= max(self.eps, _FROZEN_ACTION):
             return pt  # rotor frozen near I = 0; the lane is crossed continuously
         t, theta_new = _inner_retarget(pt.I, pt.theta, theta_target, self.tol_land)
         new = ReducedPoint(I=pt.I, theta=theta_new)
         self.legs.append(OrbitLeg(
             mechanism=Mechanism.INNER, points=(pt, new), model_time=t,
-            deviation_start=dev0,
-            deviation_end=_deviation(self.params, new, self.side),
+            deviation_start=abs(wrap_signed(pt.theta - lane)),
+            deviation_end=abs(wrap_signed(theta_new - lane)),
             error_bound=self.tol_land))
         return new
 
     def drift(self, in_band) -> PseudoOrbit:
         """Scattering bursts from I = region[0] to region[1] (branch A where
         in_band(I), else the single map), each followed by a rotor leg that
-        aims theta at the middle of branch A's window or back at the lane."""
+        aims theta at the middle of branch A's window or back at the lane.
+        The lane theta is solved once per burst end and carried along: an
+        inner leg and its target keep the action, so they reuse it."""
         params, (I_start, I_end) = self.params, self.region
 
-        def target(I: float) -> float:
+        def target(I: float, lane: float) -> float:
             if in_band(I):
                 lo, hi = _admissible_window(params, I)
                 return 0.5 * (lo + hi)
-            return _lane_theta(params, I, self.side)
+            if math.isnan(lane):   # highway_psi refused the lane at I
+                raise NotInDomain(f"crest not horizontal at I = {I!r}; highway lane undefined")
+            return lane
 
-        pt = ReducedPoint(I=I_start, theta=target(I_start))
+        lane = _lane_theta(params, I_start, self.side)
+        pt = ReducedPoint(I=I_start, theta=target(I_start, lane))
         guard = 0
         while pt.I < I_end:
             before = pt.I
-            pt = self.scattering_leg(pt, Branch.A if in_band(pt.I) else Branch.SINGLE,
-                                     I_end)
+            pt, lane = self.scattering_leg(
+                pt, lane, Branch.A if in_band(pt.I) else Branch.SINGLE, I_end)
             if pt.I >= I_end:
                 break
             if pt.I - before <= self.eps * _STALL_FRACTION:
                 raise StalledProgress(
                     f"burst advanced I by {pt.I - before!r} at I = {pt.I!r}"
                 )
-            pt = self.inner_leg(pt, target(pt.I))
+            pt = self.inner_leg(pt, lane, target(pt.I, lane))
             guard += 1
             if guard > 200_000:
                 raise StalledProgress("leg budget exhausted")
@@ -395,14 +389,12 @@ def build_pseudo_orbit_general(params: ModelParams, I_star: float,
 
     Where the highway exists the itinerary follows it; across breakage bands
     it switches to the branch-A map on the theta-window where the action
-    still climbs, using rotor legs to re-enter that window.
+    still climbs, using rotor legs to re-enter that window.  In the single
+    map regime no action lies in a band, so this is the highway itinerary.
     """
     if I_star <= 0.0:
         raise ValueError("I_star must be positive")
-    side = _rising_side(params)
-    if critical_actions(params)[0] is None:
-        return build_pseudo_orbit_highway(params, -I_star, I_star, side, c, a)
-    builder = _OrbitBuilder(params, side, c, a, (-I_star, I_star))
+    builder = _OrbitBuilder(params, _rising_side(params), c, a, (-I_star, I_star))
     return builder.drift(lambda I: _in_band(params, I))
 
 

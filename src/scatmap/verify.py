@@ -22,6 +22,7 @@ from .model import (
     ModelParams,
     amp_A10,
     full_vector_field,
+    inner_first_integral,
     perturbation_g,
     separatrix,
 )
@@ -97,27 +98,17 @@ def _integrate(params: ModelParams, y0, T: float, rtol: float, atol: float, **op
     return sol
 
 
-def _inner_backflow(params: ModelParams, I: float, phi: float, T0: float):
-    """Exact torus dynamics run backward for T0: captures the O(eps) wobble
-    of the asymptotic orbit that a bare rotor rotation misses."""
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(
-        lambda t, y: [params.eps * params.a10 * math.sin(y[1]), y[0]],
-        (0.0, -T0), [I, phi], method="DOP853", rtol=1e-13, atol=1e-14)
-    if not sol.success:
-        raise StepFailure(f"inner backflow failed: {sol.message}")
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
-
-
 def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
                             T0: float | None = None,
                             rtol: float = 1e-12) -> tuple[float, float]:
     """Measured vs predicted first-order action jump across one excursion.
 
     Launches on the unperturbed separatrix at separatrix time tau* - T0 with
-    (I, phi) back-propagated by the exact torus flow, integrates the full
-    system for 2*T0, and reads the jump off the rotor integral
-    G = I^2/2 + eps*a10*cos(phi), which is constant except during the
+    (I, phi) back-propagated by the exact torus flow (the full flow on the
+    invariant manifold p = q = 0; this captures the O(eps) wobble of the
+    asymptotic orbit that a bare rotor rotation misses), integrates the
+    full system for 2*T0, and reads the jump off the rotor first integral
+    model.inner_first_integral, which is constant except during the
     excursion.  Returns (dI_measured, dI_predicted = eps * dL*/dphi).
 
     T0 defaults to log(1/eps) + 5.  Much larger values degrade the result:
@@ -136,12 +127,10 @@ def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
     predicted = params.eps * (-amp_A10(params, I) * math.sin(ts.psi))
 
     p0, q0 = separatrix(ts.tau - T0)
-    I0, phi0 = _inner_backflow(params, I, phi, T0)
-    y0 = [p0, q0, I0, phi0, s - T0]
-    yf = _integrate(params, y0, 2.0 * T0, rtol, rtol * 0.1).y[:, -1]
-
-    G0 = 0.5 * y0[2] ** 2 + params.eps * params.a10 * math.cos(y0[3])
-    Gf = 0.5 * yf[2] ** 2 + params.eps * params.a10 * math.cos(yf[3])
+    I0, phi0 = _integrate(params, [0.0, 0.0, I, phi, 0.0], -T0, 1e-13, 1e-14).y[2:4, -1].tolist()
+    yf = _integrate(params, [p0, q0, I0, phi0, s - T0], 2.0 * T0, rtol, rtol * 0.1).y[:, -1]
+    G0 = inner_first_integral(params, I0, phi0)
+    Gf = inner_first_integral(params, yf[2], yf[3])
     return (Gf - G0) / I, predicted
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import scatmap.crests as cr
-from scatmap import ModelParams, alpha
+from scatmap import ModelParams, alpha, beta
 from scatmap.errors import DomainError
 from scatmap.model import crest_coefficient
 
@@ -159,7 +159,6 @@ class TestCriticalActions:
     def test_roots_satisfy_defining_equations(self, p09):
         i_plus, i_plusplus = cr.critical_actions(p09)
         target = 1.0 / abs(p09.mu)
-        from scatmap import beta
         assert beta(i_plus) == pytest.approx(target, abs=1e-9)
         assert beta(i_plusplus) == pytest.approx(target, abs=1e-9)
         assert i_plus < i_plusplus
@@ -171,11 +170,42 @@ class TestCriticalActions:
         assert abs(i_plus - asym) / asym <= 0.05
         # the large root satisfies its defining equation; the log asymptote
         # needs its self-consistent correction to be accurate at mu = 100
-        from scatmap import beta
         assert beta(i_plusplus) == pytest.approx(0.01, abs=1e-10)
         L = math.log(2.0 * math.sinh(math.pi / 2) * 100.0)
         corrected = (2.0 / math.pi) * (L + 3.0 * math.log(i_plusplus))
         assert abs(i_plusplus - corrected) / i_plusplus <= 0.01
+
+    def test_roots_in_one_scan_cell(self):
+        # just above 1/max(beta) both roots of beta = 1/mu lie within 2.5e-4
+        # of the argmax, inside one cell of a 0.01-step sign-change scan
+        mu = 0.6248588302370183
+        rep = cr.classify_regime(ModelParams(0.0, mu, 1.0))
+        assert rep.regime is cr.Regime.TANGENCY and not rep.boundary
+        i_beta = cr.beta_max()[0]
+        assert rep.I_plus < i_beta < rep.I_plusplus < rep.I_plus + 1e-3
+        for root in (rep.I_plus, rep.I_plusplus):
+            assert beta(root) == pytest.approx(1.0 / mu, abs=1e-14)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_roots_merge_at_the_threshold(self, sign):
+        # |mu| = 1/max(beta) exactly: the two roots are beta's argmax
+        mu = sign / cr.beta_max()[1]
+        i_beta = cr.beta_max()[0]
+        assert cr.critical_actions(ModelParams(0.0, mu, 1.0)) == (i_beta, i_beta)
+        rep = cr.classify_regime(ModelParams(0.0, mu, 1.0))
+        assert rep.boundary and rep.I_plus == rep.I_plusplus == i_beta
+
+    def test_no_root_missed_above_the_threshold(self):
+        i_beta, b_max = cr.beta_max()
+        for offset in np.geomspace(1e-9, 1e-4, 400).tolist():
+            i_plus, i_plusplus = cr.critical_actions(ModelParams(0.0, 1.0 / b_max + offset, 1.0))
+            assert i_plus <= i_beta <= i_plusplus
+
+    def test_roots_beyond_the_range_rejected(self):
+        # at |mu| = 1e6 the root of alpha = 1/|mu| lies below 1e-6
+        assert cr.critical_actions(ModelParams(0.0, 6e5, 1.0))[0] > 1e-6
+        with pytest.raises(ValueError, match="outside"):
+            cr.critical_actions(ModelParams(0.0, 1e6, 1.0))
 
     def test_monotone_in_mu(self):
         values = []

@@ -137,6 +137,30 @@ class TestGeneralOrbit:
         orb = df.build_pseudo_orbit_general(P05, 1.0)
         assert orb.final_point.I >= 1.0
         assert orb.legs[0].points[0].I == -1.0
+        # no action is in a band, so the drift is the highway orbit
+        lane = df.build_pseudo_orbit_highway(P05, -1.0, 1.0, df._rising_side(P05))
+        assert repr(orb.legs) == repr(lane.legs)
+
+    @pytest.mark.parametrize("mu, eps, I_star", [
+        (0.3, 0.01, 3.0), (0.6, 0.05, 2.0), (0.9, 0.02, 2.5), (1.5, 0.02, 2.0),
+        (0.9, 0.031354066700506104, 1.2591006923797505),
+    ])
+    def test_lane_solved_once_per_action(self, mu, eps, I_star, monkeypatch):
+        # each leg starts where the last one ended, with its deviation, and
+        # the lane theta is solved once for each action a leg starts or ends at
+        solved = []
+
+        def counted(params, I, *args, **kwargs):
+            solved.append(I)
+            return highway_psi(params, I, *args, **kwargs)
+
+        monkeypatch.setattr(df, "highway_psi", counted)
+        orb = df.build_pseudo_orbit_general(ModelParams(0.0, mu, 1.0, eps=eps), I_star)
+        for prev, leg in zip(orb.legs, orb.legs[1:]):
+            assert leg.points[0] == prev.points[-1]
+            assert repr(leg.deviation_start) == repr(prev.deviation_end)   # NaN too
+        ends = [I for leg in orb.legs for I in (leg.points[0].I, leg.points[-1].I)]
+        assert sorted(solved) == sorted(set(ends))
 
     def test_crosses_tangency_band(self, p09):
         orb = df.build_pseudo_orbit_general(p09, 2.0)

@@ -1,8 +1,12 @@
-"""No module imports a name it never uses (a stand-in for a linter's F401).
+"""No module imports a name it never uses (a stand-in for a linter's F401),
+and the package keeps no private function or class that nothing calls.
 
 Every .py file under src/scatmap, tests and scripts is parsed; a name bound
 by an import must be read somewhere in the same file.  Package __init__
-files are exempt: their imports are the package's re-exports.
+files are exempt: their imports are the package's re-exports.  A module-level
+function or class of src/scatmap whose name starts with one underscore must
+be named (read, imported or taken as an attribute) somewhere in src/scatmap:
+the tests alone do not keep it alive.
 """
 import ast
 from pathlib import Path
@@ -10,6 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src/scatmap").glob("*.py"))
 FILES = sorted(path for folder in ("src/scatmap", "tests", "scripts")
                for path in (ROOT / folder).glob("*.py") if path.name != "__init__.py")
 
@@ -29,6 +34,26 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Module-level _private functions and classes that no source names."""
+    defined: dict[str, str] = {}
+    named: set[str] = set()
+    for where, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = f"{where}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return sorted(f"{where}: {name}" for name, where in defined.items() if name not in named)
+
+
 def test_scanner_sees_an_unused_import():
     assert unused_imports("import os\nimport math as m\nfrom a import b, c\nc()\n") == [
         "line 1: os", "line 2: m", "line 3: b"]
@@ -38,3 +63,19 @@ def test_scanner_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scanner_sees_an_unreferenced_private_name():
+    sources = {
+        "a.py": "def _dead():\n    pass\n\nclass _Gone:\n    pass\n\n"
+                "def _called():\n    pass\n\ndef _imported():\n    pass\n\n"
+                "def __dunder__():\n    pass\n\ndef public():\n    _called()\n",
+        "b.py": "import a\nfrom a import _imported\n\n"
+                "def _used_as_attribute():\n    pass\n\na._used_as_attribute\n",
+    }
+    assert unreferenced_private(sources) == ["a.py:1: _dead", "a.py:4: _Gone"]
+
+
+def test_no_unreferenced_private_name():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unreferenced_private(sources) == []

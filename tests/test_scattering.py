@@ -260,14 +260,23 @@ class TestCrossingKernel:
         assert crossing_lists(p09, 1.5, 2.0, 0.3, MAX) == [
             ref_crossings(p09, 1.5, 2.0, 0.3, MAX)]
 
-    @pytest.mark.parametrize("mu", MUS)
-    def test_region_constants_match_loop(self, mu):
+    @pytest.mark.parametrize("mu, region, grid_n", [
+        *((mu, (-3.0, 3.0), 15) for mu in MUS),
+        # cells straddle the tangency locus: K is about 1.9e5 here
+        (0.9, (-1.2591006923797505, 1.2591006923797505), 25),
+        # I_plus of mu = 0.9: the line theta = pi (a grid column at 16)
+        # touches the crest at psi = pi, inside _TANGENCY_GUARD
+        (0.9, (1.089313871950611, 1.089313871950611), 16),
+        # every cell centre sits on the singular crest: no cell qualifies
+        (1.5, (0.5041156496613117, 0.5041156496613117), 15),
+    ], ids=["0.6", "0.9", "1.5", "0.9-tangency", "0.9-guard", "1.5-singular"])
+    def test_region_constants_match_loop(self, mu, region, grid_n):
         from scatmap.diffusion import _region_constants
         p = as_mu(mu)
         h = 1e-5
         L = K = 0.0
-        for I in np.linspace(-3.0, 3.0, 15):
-            for theta in np.linspace(0.0, TWO_PI, 15, endpoint=False):
+        for I in np.linspace(*region, grid_n):
+            for theta in np.linspace(0.0, TWO_PI, grid_n, endpoint=False):
                 stencil = [(float(I), float(theta)), (float(I) + h, float(theta)),
                            (float(I) - h, float(theta)), (float(I), float(theta) + h),
                            (float(I), float(theta) - h)]
@@ -287,7 +296,11 @@ class TestCrossingKernel:
                     [(gt_p - gt_m) / (2 * h), (gt_tp - gt_tm) / (2 * h)],
                 ])
                 K = max(K, float(np.linalg.norm(hess, 2)))
-        assert _region_constants.__wrapped__(p, -3.0, 3.0, 15) == (L, K)
+        assert _region_constants.__wrapped__(p, *region, grid_n) == (L, K)
+        if grid_n == 25:
+            assert K > 1e5   # the straddling cells are kept
+        if mu == 1.5 and region[0] == region[1]:
+            assert (L, K) == (0.0, 0.0)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_admissible_window_matches_loop(self, mu):
