@@ -202,6 +202,8 @@ def cmd_portrait(args, params: ModelParams) -> int:
     _check_grid(args.grid)
     if args.imax <= args.imin:
         raise ValueError("imax must exceed imin")
+    if args.nlevels is not None and args.nlevels < 0:
+        raise ValueError(f"--nlevels must be >= 0, got {args.nlevels}")
     n = args.grid
     I_vals = np.linspace(args.imin, args.imax, n)
     th_vals = np.linspace(0.0, TWO_PI, n, endpoint=False)

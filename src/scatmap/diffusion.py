@@ -303,32 +303,32 @@ class _OrbitBuilder:
         """Scattering bursts from I = region[0] to region[1] (branch A where
         in_band(I), else the single map), each followed by a rotor leg that
         aims theta at the middle of branch A's window or back at the lane.
-        The lane theta is solved once per burst end and carried along: an
-        inner leg and its target keep the action, so they reuse it."""
+        The lane theta and band flag are found once per burst end and carried
+        along: the inner leg, its target and the next burst keep the action."""
         params, (I_start, I_end) = self.params, self.region
 
-        def target(I: float, lane: float) -> float:
-            if in_band(I):
+        def target(I: float, lane: float, band: bool) -> float:
+            if band:
                 lo, hi = _admissible_window(params, I)
                 return 0.5 * (lo + hi)
             if math.isnan(lane):   # highway_psi refused the lane at I
                 raise NotInDomain(f"crest not horizontal at I = {I!r}; highway lane undefined")
             return lane
 
-        lane = _lane_theta(params, I_start, self.side)
-        pt = ReducedPoint(I=I_start, theta=target(I_start, lane))
+        lane, band = _lane_theta(params, I_start, self.side), in_band(I_start)
+        pt = ReducedPoint(I=I_start, theta=target(I_start, lane, band))
         guard = 0
         while pt.I < I_end:
             before = pt.I
-            pt, lane = self.scattering_leg(
-                pt, lane, Branch.A if in_band(pt.I) else Branch.SINGLE, I_end)
+            pt, lane = self.scattering_leg(pt, lane, Branch.A if band else Branch.SINGLE, I_end)
             if pt.I >= I_end:
                 break
             if pt.I - before <= self.eps * _STALL_FRACTION:
                 raise StalledProgress(
                     f"burst advanced I by {pt.I - before!r} at I = {pt.I!r}"
                 )
-            pt = self.inner_leg(pt, lane, target(pt.I, lane))
+            band = in_band(pt.I)
+            pt = self.inner_leg(pt, lane, target(pt.I, lane, band))
             guard += 1
             if guard > 200_000:
                 raise StalledProgress("leg budget exhausted")
@@ -462,6 +462,8 @@ def diffusion_time(params: ModelParams, I_star: float, c: float = 0.5,
         raise ValueError("exponents must satisfy 0 < a < c < 1")
     if params.eps <= 0.0:
         raise ValueError("eps must be positive")
+    if I_star <= 0.0:
+        raise ValueError("I_star must be positive")
     eps = params.eps
     ts = time_Ts(params, -I_star, I_star, _rising_side(params))
     th, delta, C = time_Th(params, I_star)

@@ -115,12 +115,11 @@ def brentq_many(f, a, b, args: tuple = (), xtol: float = 2e-12) -> np.ndarray:
         for _ in range(_MAXITER):
             new = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
             width = xcur - xpre
-            xblk, fblk, spre, scur = np.where(new, [xpre, fpre, width, width],
-                                              [xblk, fblk, spre, scur])
+            xblk, fblk, spre, scur = [np.where(new, x, y) for x, y in zip(
+                (xpre, fpre, width, width), (xblk, fblk, spre, scur))]
             swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk, fpre, fcur, fblk = np.where(
-                swap, [xcur, xblk, xcur, fcur, fblk, fcur],
-                [xpre, xcur, xblk, fpre, fcur, fblk])
+            xpre, xcur, xblk, fpre, fcur, fblk = [np.where(swap, x, y) for x, y in zip(
+                (xcur, xblk, xcur, fcur, fblk, fcur), (xpre, xcur, xblk, fpre, fcur, fblk))]
 
             delta = (xtol + _RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
@@ -145,7 +144,7 @@ def brentq_many(f, a, b, args: tuple = (), xtol: float = 2e-12) -> np.ndarray:
             abs_spre = np.abs(spre)
             good = ((abs_spre > delta) & (np.abs(fcur) < np.abs(fpre))
                     & (step < abs_spre) & (step < 3 * np.abs(sbis) - delta))
-            spre, scur = np.where(good, [scur, stry], sbis)
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
 
             xpre, fpre = xcur, fcur
             xcur = xcur + np.where(np.abs(scur) > delta, scur,

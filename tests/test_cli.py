@@ -198,6 +198,20 @@ class TestOrbit:
         last = lines[-1].split(",")
         assert float(last[2]) >= 1.0
 
+    @pytest.mark.parametrize("nlevels", ["-1", "-2", "-5"])
+    def test_negative_nlevels_is_config_error(self, capsys, nlevels):
+        code, out, err = run(capsys, "portrait", "--mu", "0.6", "--grid", "8",
+                             "--nlevels", nlevels)
+        assert (code, out) == (2, "")
+        assert f"configuration error: --nlevels must be >= 0, got {nlevels}" in err
+
+    def test_zero_nlevels_draws_no_contours(self, capsys):
+        code, out, _ = run(capsys, "portrait", "--mu", "0.6", "--grid", "8",
+                           "--nlevels", "0")
+        assert code == 0
+        assert out == run(capsys, "portrait", "--mu", "0.6", "--grid", "8")[1]
+        assert out.count("\n") == 1 + 8 * 8   # the grid only
+
     def test_zero_eps_is_numeric_failure(self, capsys):
         code, _, err = run(capsys, "orbit", "--mu", "0.6", "--eps", "0",
                            "--ifrom", "-1", "--ito", "1")
@@ -217,6 +231,13 @@ class TestDifftime:
         code, _, err = run(capsys, "difftime", "--eps", "0")
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("istar", ["-4", "0"])
+    def test_nonpositive_istar_is_config_error(self, capsys, istar):
+        code, out, err = run(capsys, "difftime", "--mu", "0.6", "--eps", "1e-3",
+                             "--Istar", istar)
+        assert (code, out) == (2, "")
+        assert "configuration error: I_star must be positive" in err
 
 
 class TestEpsstar:

@@ -147,20 +147,28 @@ class TestGeneralOrbit:
     ])
     def test_lane_solved_once_per_action(self, mu, eps, I_star, monkeypatch):
         # each leg starts where the last one ended, with its deviation, and
-        # the lane theta is solved once for each action a leg starts or ends at
-        solved = []
+        # the lane theta and the band flag are found once for each action a
+        # leg starts or ends at
+        solved, banded = [], []
+        in_band = df._in_band
 
         def counted(params, I, *args, **kwargs):
             solved.append(I)
             return highway_psi(params, I, *args, **kwargs)
 
+        def band_counted(params, I):
+            banded.append(I)
+            return in_band(params, I)
+
         monkeypatch.setattr(df, "highway_psi", counted)
+        monkeypatch.setattr(df, "_in_band", band_counted)
         orb = df.build_pseudo_orbit_general(ModelParams(0.0, mu, 1.0, eps=eps), I_star)
         for prev, leg in zip(orb.legs, orb.legs[1:]):
             assert leg.points[0] == prev.points[-1]
             assert repr(leg.deviation_start) == repr(prev.deviation_end)   # NaN too
         ends = [I for leg in orb.legs for I in (leg.points[0].I, leg.points[-1].I)]
         assert sorted(solved) == sorted(set(ends))
+        assert sorted(banded) == sorted(set(ends) - {orb.final_point.I})
 
     def test_crosses_tangency_band(self, p09):
         orb = df.build_pseudo_orbit_general(p09, 2.0)
@@ -266,6 +274,12 @@ class TestDiffusionTime:
     def test_invalid_exponents(self, p06):
         with pytest.raises(ValueError):
             df.diffusion_time(p06, 2.0, c=0.3, a=0.5)
+
+    @pytest.mark.parametrize("I_star", [-4.0, 0.0])
+    def test_nonpositive_istar_rejected(self, p06, I_star):
+        # as build_pseudo_orbit_general and epsilon_star reject it
+        with pytest.raises(ValueError, match="I_star must be positive"):
+            df.diffusion_time(p06, I_star)
 
 
 class TestPropagatedErrorBound:

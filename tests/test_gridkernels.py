@@ -7,7 +7,7 @@ from scatmap.crests import CrestBranch
 from scatmap.errors import NoCrossing, SingularCrest
 from scatmap.gridkernels import reduced_poincare_grid
 from scatmap.model import TWO_PI, crest_coefficient
-from scatmap.scattering import reduced_poincare
+from scatmap.scattering import _BLOCK, reduced_poincare
 
 THETAS = np.linspace(0.0, TWO_PI, 40, endpoint=False)
 
@@ -79,3 +79,17 @@ def test_primary_crossing_picked_by_root(p15):
     value = reduced_poincare_grid(p15, README_I[55:56], README_THETA)[0, 164]
     assert round(value, 6) == 2.029773
     assert value == reduced_poincare(p15, I, theta)
+
+
+def test_partial_last_block(p15):
+    # 37 x 41 = 1,517 cells, not a multiple of the kernel block: the last
+    # block is partial, and the singular row (24) holds the first block edge
+    I_vals = np.linspace(-3.5, 3.5, 37)
+    I_vals[24] = 0.5041156496613117
+    thetas = np.linspace(0.0, TWO_PI, 41, endpoint=False)
+    thetas[20] = np.pi   # the theta = pi ties of the holes regime
+    assert I_vals.size * thetas.size % _BLOCK and 24 * 41 < _BLOCK < 25 * 41
+    Z = reduced_poincare_grid(p15, I_vals, thetas)
+    ref = scalar_grid(p15, I_vals, thetas)
+    assert np.isnan(ref[24]).all() and not np.isnan(ref).all()
+    assert np.array_equal(Z, ref, equal_nan=True)

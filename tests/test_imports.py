@@ -6,7 +6,9 @@ by an import must be read somewhere in the same file.  Package __init__
 files are exempt: their imports are the package's re-exports.  A module-level
 function or class of src/scatmap whose name starts with one underscore must
 be named (read, imported or taken as an attribute) somewhere in src/scatmap:
-the tests alone do not keep it alive.
+the tests alone do not keep it alive.  No module of src/scatmap but cli.py
+reads the process environment (os.environ, os.getenv): sizes such as the
+crossing kernel's blocks are constants, not hidden knobs.
 """
 import ast
 from pathlib import Path
@@ -54,6 +56,19 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
     return sorted(f"{where}: {name}" for name, where in defined.items() if name not in named)
 
 
+def env_reads(source: str) -> list[str]:
+    """Where a source names os.environ, os.getenv or their bytes forms."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in names:
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 def test_scanner_sees_an_unused_import():
     assert unused_imports("import os\nimport math as m\nfrom a import b, c\nc()\n") == [
         "line 1: os", "line 2: m", "line 3: b"]
@@ -79,3 +94,15 @@ def test_scanner_sees_an_unreferenced_private_name():
 def test_no_unreferenced_private_name():
     sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unreferenced_private(sources) == []
+
+
+def test_scanner_sees_an_environment_read():
+    assert env_reads("import os\nos.environ['A']\nos.getenv('B')\n"
+                     "from os import environ as e, getenv\nenv = 1\n") == [
+        "line 2: environ", "line 3: getenv", "line 4: environ", "line 4: getenv"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "cli.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_environment_read(path):
+    assert env_reads(path.read_text(encoding="utf-8")) == []

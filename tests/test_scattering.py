@@ -235,25 +235,40 @@ class TestCrossingKernel:
         assert any(len(r) == 3 and min(np.diff(r)) < sc._SCAN_STEP for r in got)
 
     @pytest.mark.parametrize("mu", MUS)
-    @pytest.mark.parametrize("n", [3, 300])
+    @pytest.mark.parametrize("n", [3, 300, 2 * sc._BLOCK + 37])
     def test_both_refinement_paths(self, mu, n, monkeypatch):
-        # a batch with fewer than _LOCKSTEP_MIN brackets refines them with
-        # the brentq loop, a larger one in one brentq_many call
-        lockstep = []
-        many = sc.brentq_many
+        # a block with fewer than _LOCKSTEP_MIN brackets refines them with
+        # the brentq loop, a larger one in exactly one brentq_many call
+        lockstep, looped = [], []   # the block of each lane, per call
+        many, one = sc.brentq_many, sc.brentq
 
-        def counted(f, a, b, **kw):
-            lockstep.append(len(a))
-            return many(f, a, b, **kw)
+        def counted_many(f, a, b, args, **kw):
+            lockstep.append([block[v] for v in args[1].tolist()])
+            return many(f, a, b, args=args, **kw)
 
-        monkeypatch.setattr(sc, "brentq_many", counted)
+        def counted_one(f, a, b, args, **kw):
+            looped.append(block[args[1]])
+            return one(f, a, b, args=args, **kw)
+
+        monkeypatch.setattr(sc, "brentq_many", counted_many)
+        monkeypatch.setattr(sc, "brentq", counted_one)
         rng = np.random.default_rng(n)
         I = rng.uniform(-3.5, 3.5, n)
         I = I[np.abs(np.abs([crest_coefficient(as_mu(mu), v) for v in I]) - 1.0) > 1e-9]
         phi, s = rng.uniform(0.0, TWO_PI, len(I)), rng.uniform(-1.0, 1.0, len(I))
+        block = {v: k // sc._BLOCK for k, v in enumerate(phi.tolist())}
+        assert len(block) == len(phi)   # phi tells the point, hence its block
         assert_same_roots(as_mu(mu), I.tolist(), phi.tolist(), s.tolist(), MAX)
-        assert all(m >= sc._LOCKSTEP_MIN for m in lockstep)
+        # each call holds one block's brackets, each block's go to one path
+        assert all(len(set(blocks)) == 1 and len(blocks) >= sc._LOCKSTEP_MIN
+                   for blocks in lockstep)
+        stepped = [blocks[0] for blocks in lockstep]
+        assert len(set(stepped)) == len(stepped)
+        assert not set(stepped) & set(looped)
+        assert all(looped.count(b) < sc._LOCKSTEP_MIN for b in set(looped))
         assert bool(lockstep) == (n > sc._LOCKSTEP_MIN)
+        if n > 2 * sc._BLOCK:
+            assert {0, 1} <= set(stepped)
 
     def test_scalar_arguments(self, p09):
         # a batch of one, as tau_star_full and scattering_branches make
@@ -367,6 +382,34 @@ class TestPrimary:
         I[rng.random(n) < 0.05] = 0.5041156496613117   # singular at mu = 1.5
         phi = rng.uniform(0.0, TWO_PI, n)
         s = rng.uniform(-7.0, 7.0, n) if s0 is None else np.full(n, s0)
+        self.assert_batch_equals(p, I, phi, s, crest, branch)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_block_edges(self, mu):
+        # two blocks and 37 points; next to each block edge sit theta = pi
+        # ties (mu = 1.5), grazing pairs just inside the band (mu = 0.9) and
+        # a singular action (mu = 1.5)
+        p = as_mu(mu)
+        n = 2 * sc._BLOCK + 37
+        rng = np.random.default_rng(29)
+        I, phi = rng.uniform(-3.5, 3.5, n), rng.uniform(0.0, TWO_PI, n)
+        for edge in (sc._BLOCK, 2 * sc._BLOCK):
+            phi[edge - 2:edge + 2] = math.pi
+            I[edge - 3] = 0.5041156496613117
+            for k, act in zip(range(edge - 9, edge - 3), np.linspace(1.2, 2.8, 6)):
+                info = tangency_points(p, float(act))
+                if info is not None:
+                    I[[k, k + 8]] = act
+                    phi[[k, k + 8]] = info.theta1 - 1e-5, info.theta2 + 1e-5
+        got = crossing_lists(p, I, phi, 0.0, MAX)
+        edges = [k for edge in (sc._BLOCK, 2 * sc._BLOCK) for k in range(edge - 9, edge + 6)]
+        if mu == 0.9:
+            assert any(len(got[k]) == 3 for k in edges)
+        if mu == 1.5:
+            assert any(len(got[k]) == 2 and got[k][0] == -got[k][1] for k in edges)
+        self.assert_batch_equals(p, I, phi, np.zeros(n), MAX, sc.Branch.SINGLE)
+
+    def assert_batch_equals(self, p, I, phi, s, crest, branch):
         tau, psi, sigma, why = sc._primary(p, I, phi, s, crest, branch)
         for k, point in enumerate(zip(I.tolist(), phi.tolist(), s.tolist())):
             try:
