@@ -11,7 +11,6 @@ from .errors import (
     ScatmapError,
     SingularCrest,
     StalledProgress,
-    StepFailure,
     TangencyPoint,
 )
 from .model import (

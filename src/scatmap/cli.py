@@ -8,6 +8,7 @@ JSON mirrors the same records.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -87,27 +88,14 @@ def build_params(args: argparse.Namespace) -> ModelParams:
     return ModelParams(**merged)
 
 
-class _Writer:
-    def __init__(self, out_path: str | None):
-        self.out_path = out_path
-
-    def write(self, text: str, suffix: str = ""):
-        self.write_lines([text], suffix)
-
-    def write_lines(self, chunks, suffix: str = ""):
-        """Write the text chunks in turn, ending with one newline."""
-        if self.out_path is None:
-            self._write_to(sys.stdout, chunks)
-            return
-        path = self.out_path
-        if suffix:
-            stem, dot, ext = path.rpartition(".")
-            path = f"{stem}.{suffix}.{ext}" if dot else f"{path}.{suffix}"
-        with open(path, "w", encoding="utf-8") as fh:
-            self._write_to(fh, chunks)
-
-    @staticmethod
-    def _write_to(fh, chunks):
+def _write(out: str | None, chunks, suffix: str = ""):
+    """Write the text chunks in turn, ending with one newline, to stdout or
+    to the path out (with suffix inserted before its extension)."""
+    if out is not None and suffix:
+        stem, dot, ext = out.rpartition(".")
+        out = f"{stem}.{suffix}.{ext}" if dot else f"{out}.{suffix}"
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8")) as fh:
         last = ""
         for text in chunks:
             fh.write(text)
@@ -151,10 +139,11 @@ def _json_chunks(sections):
     yield "\n}"
 
 
-def _emit(args, header: list[str], rows: list[list], json_key: str):
-    """One table, as CSV or JSON by --format, to --out or stdout."""
-    _Writer(args.out).write_lines(_csv_chunks(header, rows) if args.format == "csv"
-                                  else _json_chunks([(json_key, header, rows)]))
+def _emit(args, header: list[str], rows: list[list]):
+    """One table, as CSV or JSON by --format (keyed by the command's name),
+    to --out or stdout."""
+    _write(args.out, _csv_chunks(header, rows) if args.format == "csv"
+           else _json_chunks([(args.command, header, rows)]))
 
 
 # ----------------------------------------------------------------- commands
@@ -170,7 +159,7 @@ def cmd_regime(args, params: ModelParams) -> int:
         "I_plusplus": rep.I_plusplus,
         "boundary": rep.boundary,
     }
-    _Writer(args.out).write(json.dumps(doc, indent=2))
+    _write(args.out, [json.dumps(doc, indent=2)])
     return 0
 
 
@@ -194,7 +183,7 @@ def cmd_crests(args, params: ModelParams) -> int:
             else:
                 phi, s = eta(params, branch, I, t), t
             rows.append([name, phi, s, crest_residual(params, I, phi, s)])
-    _emit(args, ["branch", "phi", "s", "residual"], rows, "crests")
+    _emit(args, ["branch", "phi", "s", "residual"], rows)
     return 0
 
 
@@ -214,7 +203,6 @@ def cmd_portrait(args, params: ModelParams) -> int:
         finite = Z[np.isfinite(Z)]
         levels = list(np.linspace(finite.min(), finite.max(), args.nlevels + 2)[1:-1])
 
-    writer = _Writer(args.out)
     th_list = th_vals.tolist()
     grid_header = ["I", "theta", "value"]
     contour_header = ["level", "polyline", "vertex", "I", "theta"]
@@ -233,17 +221,14 @@ def cmd_portrait(args, params: ModelParams) -> int:
                 contour_rows.append([float(level), pid, vid, float(I), float(theta)])
 
     if args.format == "json":
-        writer.write_lines(_json_chunks([("grid", grid_header, grid_rows()),
-                                         ("contours", contour_header, contour_rows)]))
+        _write(args.out, _json_chunks([("grid", grid_header, grid_rows()),
+                                       ("contours", contour_header, contour_rows)]))
         return 0
-    writer.write_lines(_csv_chunks(grid_header, grid_rows()))
+    _write(args.out, _csv_chunks(grid_header, grid_rows()))
     if levels:
-        text = _csv_chunks(contour_header, contour_rows)
         if args.out is None:
             sys.stdout.write("\n")
-            writer.write_lines(text)
-        else:
-            writer.write_lines(text, suffix="contours")
+        _write(args.out, _csv_chunks(contour_header, contour_rows), suffix="contours")
     return 0
 
 
@@ -254,7 +239,7 @@ def cmd_highways(args, params: ModelParams) -> int:
     for side in sides:
         for smp in trace_highway(params, side, args.imin, args.imax, args.step):
             rows.append([side.value, smp.I, smp.theta, smp.psi, smp.residual])
-    _emit(args, ["side", "I", "theta", "psi", "residual"], rows, "highways")
+    _emit(args, ["side", "I", "theta", "psi", "residual"], rows)
     return 0
 
 
@@ -269,7 +254,7 @@ def cmd_tangency(args, params: ModelParams) -> int:
         info = tangency_points(params, float(I))
         if info is not None:
             rows.append([info.I, info.psi1, info.psi2, info.theta1, info.theta2])
-    _emit(args, ["I", "psi1", "psi2", "theta1", "theta2"], rows, "tangency")
+    _emit(args, ["I", "psi1", "psi2", "theta1", "theta2"], rows)
     return 0
 
 
@@ -283,7 +268,7 @@ def cmd_orbit(args, params: ModelParams) -> int:
     for k, leg in enumerate(orbit.legs):
         for pt in leg.points:
             rows.append([k, leg.mechanism.value, pt.I, pt.theta, leg.model_time])
-    _emit(args, ["leg", "mechanism", "I", "theta", "model_time"], rows, "orbit")
+    _emit(args, ["leg", "mechanism", "I", "theta", "model_time"], rows)
     return 0
 
 
@@ -291,7 +276,7 @@ def cmd_difftime(args, params: ModelParams) -> int:
     if params.eps <= 0.0:
         raise ValueError("difftime requires eps > 0")
     est = diffusion_time(params, args.Istar, c=args.c, a=args.a)
-    _Writer(args.out).write(json.dumps(dataclasses.asdict(est), indent=2))
+    _write(args.out, [json.dumps(dataclasses.asdict(est), indent=2)])
     return 0
 
 
@@ -299,7 +284,7 @@ def cmd_epsstar(args, params: ModelParams) -> int:
     est = epsilon_star(params, args.Istar, grid=args.grid)
     doc = {"I_star": args.Istar, "eps_star": est.value,
            "envelope": est.envelope, "argmin_I": est.argmin_I}
-    _Writer(args.out).write(json.dumps(doc, indent=2))
+    _write(args.out, [json.dumps(doc, indent=2)])
     return 0
 
 
@@ -350,8 +335,8 @@ def cmd_verify(args, params: ModelParams) -> int:
         checks.append(("homoclinic action jump vs first-order prediction", ok,
                        f"measured {meas:.6e}, predicted {pred:.6e}"))
 
-    _Writer(args.out).write("\n".join(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
-                                      for name, ok, detail in checks))
+    _write(args.out, ["\n".join(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
+                                 for name, ok, detail in checks)])
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 

@@ -129,15 +129,6 @@ def crest_residual(params: ModelParams, I: float, phi: float, s: float) -> float
     return crest_coefficient(params, I) * math.sin(phi) + math.sin(s)
 
 
-def dxi_max_dpsi(params: ModelParams, I: float, psi: float) -> float:
-    """d xi_max / d psi; blows up nowhere while |mu*alpha(I)| < 1."""
-    c = crest_coefficient(params, I)
-    u = c * math.sin(psi)
-    if abs(u) >= 1.0:
-        raise DomainError("slope of horizontal parameterization undefined")
-    return -c * math.cos(psi) / math.sqrt(1.0 - u * u)
-
-
 def theta_of_psi(params: ModelParams, I: float, psi: float) -> float:
     """Torus-line label theta(psi) = psi - I*xi_max(I, psi), unwrapped."""
     return psi - I * xi_max_raw(params, I, psi)

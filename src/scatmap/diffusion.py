@@ -31,6 +31,7 @@ from .errors import (
     BranchUnavailable,
     ConstantUndefined,
     DegenerateAction,
+    DomainError,
     NoCrossing,
     NotInDomain,
     StalledProgress,
@@ -48,12 +49,11 @@ from .scattering import (
     Branch,
     CrestBranch,
     ReducedPoint,
+    _EDGE,
     _OK,
-    _TANGENCY_GUARD,
-    _grad_at_crossing,
+    _gradient,
     _primary,
-    dtheta_dpsi_at,
-    grad_reduced_poincare,
+    scattering_step,
 )
 
 # inner legs cannot steer theta when the rotor barely turns
@@ -173,23 +173,22 @@ def _region_constants(params: ModelParams, I_lo: float, I_hi: float,
     """(L, K): max gradient norm and max Hessian norm over a phase-space grid.
 
     Each grid cell takes the gradient at five points (the cell and its
-    central-difference stencil), whose primary crossings come from one
-    _primary call.  A point's gradient is NaN where it has no primary
-    crossing or sits within _TANGENCY_GUARD of the tangency locus, and a
-    cell holding a NaN is dropped.  K is the spectral norm of the central
-    differences, taken for all cells in one batch.
+    central-difference stencil), all from one _gradient call.  A cell is
+    dropped unless its five reason codes are _OK: a point without a primary
+    crossing or within _TANGENCY_GUARD of the tangency locus (_TANGENT)
+    drops it, and one on the crest window's edge (_EDGE) raises DomainError.
+    K is the spectral norm of the central differences, taken for all cells
+    in one batch.
     """
     h = 1e-5
     I = np.repeat(np.linspace(I_lo, I_hi, grid_n), grid_n)
     theta = np.tile(np.linspace(0.0, TWO_PI, grid_n, endpoint=False), grid_n)
     I_pts = np.stack([I, I + h, I - h, I, I], axis=1).ravel()
     th_pts = np.stack([theta, theta, theta, theta + h, theta - h], axis=1).ravel()
-    tau, psi, _, why = _primary(params, I_pts, th_pts, 0.0)
-    grad = np.full((len(I_pts), 2), np.nan)
-    for k in np.flatnonzero(why == _OK).tolist():
-        I_k, psi_k = float(I_pts[k]), float(psi[k])
-        if abs(dtheta_dpsi_at(params, I_k, psi_k)) >= _TANGENCY_GUARD:
-            grad[k] = _grad_at_crossing(params, I_k, float(tau[k]), psi_k)
+    d_i, d_theta, why = _gradient(params, I_pts, th_pts, 0.0)
+    if (why == _EDGE).any():
+        raise DomainError("slope of horizontal parameterization undefined")
+    grad = np.where((why == _OK)[:, None], np.stack([d_i, d_theta], axis=1), np.nan)
     grad = grad.reshape(-1, 5, 2)
     grad = grad[~np.isnan(grad).any(axis=(1, 2))]   # (cell, stencil point, d/dI or d/dtheta)
     L = max((math.hypot(gi, gt) for gi, gt in grad[:, 0].tolist()), default=0.0)
@@ -262,14 +261,12 @@ class _OrbitBuilder:
         points = [pt]
         for _ in range(self.nss):
             try:
-                d_i, d_theta = grad_reduced_poincare(
-                    self.params, pt.I, pt.theta, CrestBranch.MAXIMUM, branch)
+                new = scattering_step(self.params, pt, CrestBranch.MAXIMUM, branch)
             except (TangencyPoint, NoCrossing, BranchUnavailable):
                 break
-            if d_theta <= 0.0:
+            if new.I <= pt.I:
                 break  # the branch would move I the wrong way; re-aim first
-            pt = ReducedPoint(I=pt.I + self.eps * d_theta,
-                              theta=wrap_angle(pt.theta - self.eps * d_i))
+            pt = new
             points.append(pt)
             if pt.I >= stop_I:
                 break

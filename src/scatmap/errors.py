@@ -52,9 +52,5 @@ class ConstantUndefined(ScatmapError):
     """Homoclinic travel-time constant undefined (mu*max(alpha) >= 1)."""
 
 
-class StepFailure(ScatmapError):
-    """Adaptive integrator failed to meet its tolerance."""
-
-
 class DomainExit(ScatmapError):
     """Trajectory of the reduced flow left the branch domain."""

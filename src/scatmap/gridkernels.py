@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelParams, amp_A00, amp_A01, amp_A10
-from .scattering import _BLOCK, CrestBranch, _primary
+from .scattering import _BLOCK, CrestBranch, _per_action, _primary
 
 
 def reduced_poincare_grid(params: ModelParams, I_values: np.ndarray,
@@ -19,7 +19,7 @@ def reduced_poincare_grid(params: ModelParams, I_values: np.ndarray,
     """Grid of the reduced function, shape (len(I_values), len(theta_values))."""
     I_values = np.asarray(I_values, dtype=float)
     thetas = np.asarray(theta_values, dtype=float)
-    a10 = np.array([amp_A10(params, I) for I in I_values.tolist()])
+    a10, = _per_action(params, I_values, amp_A10)
     out = np.empty((len(I_values), len(thetas)))
     flat = out.reshape(-1)
     # one kernel block per call, refined in one brentq_many call; 1,024-cell

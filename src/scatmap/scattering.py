@@ -14,7 +14,8 @@ One function, _primary, finds the primary crossing of many points at once,
 on one crossing kernel (_crossings), and every caller reads it:
 tau_star_full is a batch of one, and the bulk callers (the portrait grid,
 the error-bound constants, the admissible-window scan, the mu-flip symmetry
-check) pass arrays.
+check) pass arrays.  _gradient takes the gradient there the same way:
+grad_reduced_poincare (hence the scattering map) is a batch of one.
 """
 from __future__ import annotations
 
@@ -31,13 +32,13 @@ from .crests import (
     Orientation,
     TangencyInfo,
     crest_orientation,
-    dxi_max_dpsi,
     tangency_points,
     theta_of_psi,
     xi,
 )
 from .errors import (
     BranchUnavailable,
+    DomainError,
     DomainExit,
     NoCrossing,
     ScatmapError,
@@ -69,8 +70,10 @@ _BLOCK = 4 * _CHUNK
 _LOCKSTEP_MIN = 64
 # reject gradients closer to a tangency than this in |d theta / d psi|
 _TANGENCY_GUARD = 1e-6
-# _primary's reason codes: a primary crossing, or why there is none
-_OK, _SINGULAR, _MISSES, _OFF_BRANCH = range(4)
+# reason codes: a primary crossing, or why there is none (_primary); at a
+# crossing, why there is no gradient (_gradient): too close to the tangency
+# locus, or on the crest window's edge, where d theta/d psi is undefined
+_OK, _SINGULAR, _MISSES, _OFF_BRANCH, _TANGENT, _EDGE = range(6)
 
 
 class Branch(Enum):
@@ -144,12 +147,16 @@ def _window_s(s):
     return np.where(s > 1.5 * math.pi, s - TWO_PI, s)
 
 
-def _coefficients(params: ModelParams, I: np.ndarray) -> np.ndarray:
-    """crest_coefficient at each action, computed once per distinct action
-    (a grid block holds few)."""
-    actions = I.tolist()
-    coeff = {v: crest_coefficient(params, v) for v in set(actions)}
-    return np.array([coeff[v] for v in actions])
+def _per_action(params: ModelParams, I, *forms) -> list[np.ndarray]:
+    """Each scalar closed form form(params, I) at the actions I (an array of
+    any shape), computed once per distinct action (a grid block holds few)."""
+    I = np.asarray(I, dtype=float)
+    actions = I.ravel().tolist()
+    out = []
+    for form in forms:
+        value = {v: form(params, v) for v in set(actions)}
+        out.append(np.array([value[v] for v in actions]).reshape(I.shape))
+    return out
 
 
 @lru_cache(maxsize=2)
@@ -291,9 +298,11 @@ def _primary(params: ModelParams, I, phi, s,
     only crossings with psi in that branch's psi-domain count.  Returns the
     arrays tau, psi, sigma (NaN where there is no primary crossing) and why:
     _OK, or the reason there is none (_SINGULAR, _MISSES, _OFF_BRANCH).
+    _gradient marks an _OK crossing _TANGENT or _EDGE where it has no
+    gradient.
     """
     I, phi, s = _points(I, phi, _window_s(s))
-    a = _coefficients(params, I)
+    a, = _per_action(params, I, crest_coefficient)
     point, sigma = _crossings(a, I, phi, s, crest)
     tau = s[point] - sigma
     psi = _wrap_angles(phi[point] - I[point] * tau)
@@ -322,7 +331,14 @@ def _primary(params: ModelParams, I, phi, s,
 
 def _miss(why: int, I: float, phi: float, s: float, crest: CrestBranch,
           branch: Branch) -> ScatmapError:
-    """The error tau_star_full raises for reason code why at (I, phi, s)."""
+    """The error tau_star_full (why from _primary) or grad_reduced_poincare
+    (why from _gradient) raises for reason code why at (I, phi, s)."""
+    if why == _TANGENT:
+        return TangencyPoint(
+            f"gradient undefined near tangency: |d theta/d psi| < {_TANGENCY_GUARD}"
+        )
+    if why == _EDGE:
+        return DomainError("slope of horizontal parameterization undefined")
     if why == _SINGULAR:
         return SingularCrest(f"crest is singular at I = {I!r}")
     if why == _MISSES:
@@ -374,10 +390,10 @@ def reduced_poincare_psi(params: ModelParams, I: float, psi: float,
     return melnikov_potential(params, I, psi, xi(params, crest, I, psi))
 
 
-def _grad_at_crossing(params: ModelParams, I: float, tau: float,
-                      psi: float) -> tuple[float, float]:
+def _grad_at_crossing(params: ModelParams, I, tau, psi):
     """(d/dI, d/dtheta) of the reduced function from the envelope identity,
-    at a crossing with segment time tau and crest angle psi.
+    at crossings with segment time tau and crest angle psi (scalars or
+    arrays).
 
     The crossing condition kills every d tau/d(I, theta) term, leaving
       d/dtheta = -A10(I) sin(psi),
@@ -385,11 +401,9 @@ def _grad_at_crossing(params: ModelParams, I: float, tau: float,
     The identity is exact; tests and `scatmap verify` check it against
     finite_diff_grad in every regime.
     """
-    a10 = amp_A10(params, I)
-    sin_psi = math.sin(psi)
-    d_theta = -a10 * sin_psi
-    d_i = amp_A10_deriv(params, I) * math.cos(psi) + tau * a10 * sin_psi
-    return d_i, d_theta
+    a10, a10_deriv = _per_action(params, I, amp_A10, amp_A10_deriv)
+    sin_psi = np.sin(psi)
+    return a10_deriv * np.cos(psi) + tau * a10 * sin_psi, -a10 * sin_psi
 
 
 def finite_diff_grad(params: ModelParams, I: float, theta: float,
@@ -403,16 +417,40 @@ def finite_diff_grad(params: ModelParams, I: float, theta: float,
     return d_i, d_theta
 
 
-def dtheta_dpsi_at(params: ModelParams, I: float, psi: float,
-                   crest: CrestBranch = CrestBranch.MAXIMUM) -> float:
-    """d theta / d psi = 1 - I * d xi/d psi; vanishes on the tangency locus.
+def dtheta_dpsi_at(params: ModelParams, I, psi,
+                   crest: CrestBranch = CrestBranch.MAXIMUM):
+    """d theta / d psi = 1 - I * d xi/d psi at each (I, psi), scalars or
+    arrays; vanishes on the tangency locus.
 
-    The minimum-crest slope is the negative of the maximum-crest one.
+    d xi_max/d psi = -c cos(psi) / sqrt(1 - (c sin(psi))^2), c = mu*alpha(I),
+    and the minimum-crest slope is its negative.  NaN where
+    |c sin(psi)| >= 1, the edge of the horizontal parameterization.
     """
-    slope = dxi_max_dpsi(params, I, psi)
+    c, = _per_action(params, I, crest_coefficient)
+    u = c * np.sin(psi)
+    room = 1.0 - u * u
+    slope = -c * np.cos(psi) / np.sqrt(np.where(room > 0.0, room, np.nan))
     if crest is CrestBranch.MINIMUM:
         slope = -slope
     return 1.0 - I * slope
+
+
+def _gradient(params: ModelParams, I, phi, s,
+              crest: CrestBranch = CrestBranch.MAXIMUM,
+              branch: Branch = Branch.SINGLE):
+    """The reduced function's gradient (d/dI, d/dphi) at the primary crossing
+    of each segment through (I[k], phi[k], s[k]), and why: _primary's code,
+    or at a crossing _TANGENT (|d theta/d psi| < _TANGENCY_GUARD) or _EDGE
+    (d theta/d psi undefined).  The gradient is NaN only where there is no
+    primary crossing; each caller decides which codes it keeps.
+    """
+    I, phi, s = _points(I, phi, s)
+    tau, psi, _, why = _primary(params, I, phi, s, crest, branch)
+    slope = np.abs(dtheta_dpsi_at(params, I, psi, crest))
+    crossing = why == _OK
+    why[crossing & np.isnan(slope)] = _EDGE
+    why[crossing & (slope < _TANGENCY_GUARD)] = _TANGENT
+    return *_grad_at_crossing(params, I, tau, psi), why
 
 
 def grad_reduced_poincare(params: ModelParams, I: float, theta: float,
@@ -420,20 +458,14 @@ def grad_reduced_poincare(params: ModelParams, I: float, theta: float,
                           branch: Branch = Branch.SINGLE) -> tuple[float, float]:
     """Gradient (d/dI, d/dtheta) of the reduced Poincare function.
 
-    Raises TangencyPoint when the crossing sits too close to the tangency
-    locus, where the crossing time ceases to be differentiable.
+    Raises tau_star's error where there is no primary crossing, TangencyPoint
+    near the tangency locus (where the crossing time ceases to be
+    differentiable) and DomainError on the crest window's edge.
     """
-    ts = tau_star(params, I, theta, crest, branch)
-    _check_tangency(params, I, ts.psi, crest)
-    return _grad_at_crossing(params, I, ts.tau, ts.psi)
-
-
-def _check_tangency(params: ModelParams, I: float, psi: float,
-                    crest: CrestBranch = CrestBranch.MAXIMUM):
-    if abs(dtheta_dpsi_at(params, I, psi, crest)) < _TANGENCY_GUARD:
-        raise TangencyPoint(
-            f"gradient undefined near tangency: |d theta/d psi| < {_TANGENCY_GUARD}"
-        )
+    d_i, d_theta, why = _gradient(params, I, theta, 0.0, crest, branch)
+    if why[0] != _OK:
+        raise _miss(int(why[0]), float(I), float(theta), 0.0, crest, branch)
+    return float(d_i[0]), float(d_theta[0])
 
 
 def scattering_step(params: ModelParams, pt: ReducedPoint,
@@ -497,21 +529,20 @@ def symmetry_check_mu(params: ModelParams, n: int = 20,
     I = np.repeat(np.linspace(I_range[0], I_range[1], n), n)
     phi = np.tile(np.linspace(0.0, TWO_PI, n, endpoint=False), n)
     sides = ((params, math.pi, CrestBranch.MINIMUM), (flipped, 0.0, CrestBranch.MAXIMUM))
-    crossings = [_primary(p, I, phi, s, crest) for p, s, crest in sides]
-    max_di = 0.0
-    max_dphi = 0.0
-    for k, (Ik, phik) in enumerate(zip(I.tolist(), phi.tolist())):
-        steps = []
-        for (p, s, crest), (tau, psi, _, why) in zip(sides, crossings):
-            if why[k] != _OK:
-                raise _miss(int(why[k]), Ik, phik, s, crest, Branch.SINGLE)
-            d_i, d_phi = _grad_at_crossing(p, Ik, float(tau[k]), float(psi[k]))
-            steps.append((Ik + p.eps * d_phi, phik - p.eps * d_i))
-        (left_i, left_phi), (right_i, right_phi) = steps
-        max_di = max(max_di, abs(left_i - right_i))
-        max_dphi = max(max_dphi, abs(left_phi - right_phi))
-    return SymmetryReport(grid_shape=(n, n), max_discrepancy_I=max_di,
-                          max_discrepancy_phi=max_dphi)
+    grads = [_gradient(p, I, phi, s, crest) for p, s, crest in sides]
+    missing = np.isnan([d_i for d_i, _, _ in grads])   # (side, point): no crossing
+    if missing.any():
+        # the first such point, the minimum-crest side first
+        k = int(np.argmax(missing.any(axis=0)))
+        side = int(np.argmax(missing[:, k]))
+        (_, s, crest), why = sides[side], grads[side][2]
+        raise _miss(int(why[k]), float(I[k]), float(phi[k]), s, crest, Branch.SINGLE)
+    (left_i, left_phi), (right_i, right_phi) = (
+        (I + p.eps * d_phi, phi - p.eps * d_i)
+        for (p, _, _), (d_i, d_phi, _) in zip(sides, grads))
+    return SymmetryReport(grid_shape=(n, n),
+                          max_discrepancy_I=float(np.abs(left_i - right_i).max(initial=0.0)),
+                          max_discrepancy_phi=float(np.abs(left_phi - right_phi).max(initial=0.0)))
 
 
 def flow_reduced_hamiltonian(params: ModelParams, pt: ReducedPoint, t: float,

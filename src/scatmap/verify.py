@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAction, NotInDomain, StepFailure
+from .errors import DegenerateAction, NotInDomain, ScatmapError
 from .highways import Side, highway_psi
 from .model import (
     FullState,
     ModelParams,
-    amp_A10,
     full_vector_field,
     inner_first_integral,
     perturbation_g,
@@ -94,7 +93,7 @@ def _integrate(params: ModelParams, y0, T: float, rtol: float, atol: float, **op
     sol = solve_ivp(lambda t, y: full_vector_field(params, y), (0.0, T), y0,
                     method="DOP853", rtol=rtol, atol=atol, **options)
     if not sol.success:
-        raise StepFailure(f"integrator failed: {sol.message}")
+        raise ScatmapError(f"integrator failed: {sol.message}")
     return sol
 
 
@@ -124,7 +123,7 @@ def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
     # keep the launch anchored to the same s-representative tau_star uses
     s = float(_window_s(s))
     ts = tau_star_full(params, I, phi, s, CrestBranch.MAXIMUM)
-    predicted = params.eps * (-amp_A10(params, I) * math.sin(ts.psi))
+    predicted = params.eps * float(_grad_at_crossing(params, I, ts.tau, ts.psi)[1])
 
     p0, q0 = separatrix(ts.tau - T0)
     I0, phi0 = _integrate(params, [0.0, 0.0, I, phi, 0.0], -T0, 1e-13, 1e-14).y[2:4, -1].tolist()

@@ -8,6 +8,7 @@ import scatmap.crests as cr
 from scatmap import ModelParams, alpha, beta
 from scatmap.errors import DomainError
 from scatmap.model import crest_coefficient
+from scatmap.scattering import dtheta_dpsi_at
 
 TWO_PI = 2.0 * math.pi
 MAX, MIN = cr.CrestBranch.MAXIMUM, cr.CrestBranch.MINIMUM
@@ -78,12 +79,13 @@ class TestTangency:
         assert info.theta1 >= info.theta2
 
     def test_tangency_slope_condition(self, p09):
-        # at the tangent angles the crest slope equals the segment slope 1/I
+        # at the tangent angles the crest slope equals the segment slope 1/I:
+        # d theta/d psi = 1 - I * slope vanishes
         for I in (1.2, 1.5, 2.0, 2.8):
             info = cr.tangency_points(p09, I)
             assert info is not None
             for psi in (info.psi1, info.psi2):
-                assert cr.dxi_max_dpsi(p09, I, psi) == pytest.approx(1.0 / I, abs=1e-8)
+                assert dtheta_dpsi_at(p09, I, psi) == pytest.approx(0.0, abs=I * 1e-8)
 
     def test_predicate_agreement(self, p09, p15):
         # nonempty exactly on {1 <= I*|mu|*alpha(I)} cap {|mu|*alpha(I) <= 1}

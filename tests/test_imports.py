@@ -8,7 +8,9 @@ function or class of src/scatmap whose name starts with one underscore must
 be named (read, imported or taken as an attribute) somewhere in src/scatmap:
 the tests alone do not keep it alive.  No module of src/scatmap but cli.py
 reads the process environment (os.environ, os.getenv): sizes such as the
-crossing kernel's blocks are constants, not hidden knobs.
+crossing kernel's blocks are constants, not hidden knobs.  model.py and
+crests.py import no NumPy: their closed forms stay scalar, and the array
+code that evaluates them lives in scattering.py.
 """
 import ast
 from pathlib import Path
@@ -69,6 +71,17 @@ def env_reads(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+def numpy_imports(source: str) -> list[str]:
+    """The NumPy modules a source imports, in order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append(node.module)
+    return [name for name in found if name.split(".")[0] == "numpy"]
+
+
 def test_scanner_sees_an_unused_import():
     assert unused_imports("import os\nimport math as m\nfrom a import b, c\nc()\n") == [
         "line 1: os", "line 2: m", "line 3: b"]
@@ -106,3 +119,13 @@ def test_scanner_sees_an_environment_read():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_environment_read(path):
     assert env_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_scanner_sees_a_numpy_import():
+    source = "import math\nimport numpy as np\nfrom numpy.linalg import norm\nfrom . import model\n"
+    assert numpy_imports(source) == ["numpy", "numpy.linalg"]
+
+
+@pytest.mark.parametrize("name", ["model.py", "crests.py"])
+def test_scalar_modules_import_no_numpy(name):
+    assert numpy_imports((ROOT / "src/scatmap" / name).read_text(encoding="utf-8")) == []

@@ -7,9 +7,10 @@ from scipy.optimize import brentq
 
 import scatmap.scattering as sc
 from scatmap import ModelParams
-from scatmap.crests import CrestBranch, tangency_points, theta_of_psi, xi
+from scatmap.crests import CrestBranch, critical_actions, tangency_points, theta_of_psi, xi
 from scatmap.errors import (
     BranchUnavailable,
+    DomainError,
     NoCrossing,
     ScatmapError,
     SingularCrest,
@@ -121,7 +122,8 @@ def ref_grad(params, I, ts):
 def crossing_lists(params, I, phi, s, crest):
     """The kernel's crossings of each point, as one sorted list per point."""
     I, phi, s = sc._points(I, phi, s)
-    point, sigma = sc._crossings(sc._coefficients(params, I), I, phi, s, crest)
+    a, = sc._per_action(params, I, crest_coefficient)
+    point, sigma = sc._crossings(a, I, phi, s, crest)
     return [sigma[point == k].tolist() for k in range(len(I))]
 
 
@@ -533,6 +535,77 @@ class TestGradient:
             theta = wrap_angle(theta_of_psi(p06, I, psi))
             _, d_theta = sc.grad_reduced_poincare(p06, I, theta)
             assert d_theta > 0.0
+
+
+class TestGradientBatch:
+    """_gradient on a batch gives, point by point, the floats of
+    grad_reduced_poincare (its batch of one); where that raises, the reason
+    code of its error, and a gradient wherever there is a primary crossing."""
+
+    WHY = {**TestPrimary.WHY, TangencyPoint: sc._TANGENT, DomainError: sc._EDGE}
+
+    @staticmethod
+    def special_points(p):
+        """(I, theta) next to each failure: the 0.9-guard point (I_plus of
+        mu = 0.9, theta = pi), tangency-band edges, the singular action of
+        mu = 1.5 and, where the crest is vertical, crossings at the edges
+        sigma = +-pi/2 of the crest window."""
+        pts = [(1.089313871950611, math.pi), (0.5041156496613117, 1.0)]
+        for I in (0.6, 1.2, 1.8, 2.6):
+            info = tangency_points(p, I)
+            if info is not None:
+                pts += [(I, info.theta1), (I, info.theta2)]
+            a = crest_coefficient(p, I)
+            if abs(a) > 1.0:
+                psi = TWO_PI - math.asin(1.0 / a)
+                pts += [(I, wrap_angle(psi - I * sig) + d)
+                        for sig in (math.pi / 2, -math.pi / 2) for d in (-1e-10, 0.0, 1e-10)]
+        return pts
+
+    @pytest.mark.parametrize("crest", [MAX, MIN])
+    @pytest.mark.parametrize("branch", list(sc.Branch))
+    @pytest.mark.parametrize("mu", MUS)
+    def test_batch_equals_grad_reduced_poincare(self, mu, branch, crest):
+        p = as_mu(mu)
+        rng = np.random.default_rng(41)
+        special_I, special_theta = zip(*self.special_points(p))
+        I = np.append(rng.uniform(-3.5, 3.5, 150), special_I)
+        theta = np.append(rng.uniform(0.0, TWO_PI, 150), special_theta)
+        why = self.assert_batch_equals(p, I, theta, crest, branch)
+        if (crest, branch) == (MAX, sc.Branch.SINGLE):
+            assert {0.9: sc._TANGENT, 1.5: sc._EDGE}.get(mu, sc._OK) in why
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_block_edge(self, mu):
+        # the special points straddle the edge of the first block
+        p = as_mu(mu)
+        n = sc._BLOCK + 37
+        rng = np.random.default_rng(43)
+        I, theta = rng.uniform(-3.5, 3.5, n), rng.uniform(0.0, TWO_PI, n)
+        special = self.special_points(p)
+        start = sc._BLOCK - len(special) // 2
+        I[start:start + len(special)], theta[start:start + len(special)] = zip(*special)
+        self.assert_batch_equals(p, I, theta, MAX, sc.Branch.SINGLE)
+
+    def test_tangency_at_the_guard_point(self, p09):
+        # I_plus of mu = 0.9: the line theta = pi touches the crest at psi = pi
+        with pytest.raises(TangencyPoint) as exc:
+            sc.grad_reduced_poincare(p09, critical_actions(p09)[0], math.pi)
+        assert str(exc.value) == "gradient undefined near tangency: |d theta/d psi| < 1e-06"
+
+    def assert_batch_equals(self, p, I, theta, crest, branch):
+        d_i, d_theta, why = sc._gradient(p, I, theta, 0.0, crest, branch)
+        for k, point in enumerate(zip(I.tolist(), theta.tolist())):
+            crossing = why[k] in (sc._OK, sc._TANGENT, sc._EDGE)
+            assert np.isfinite([d_i[k], d_theta[k]]).all() == crossing
+            try:
+                want = sc.grad_reduced_poincare(p, *point, crest, branch)
+            except ScatmapError as exc:
+                assert why[k] == self.WHY[type(exc)]
+                continue
+            assert why[k] == sc._OK
+            assert (d_i[k], d_theta[k]) == want
+        return why
 
 
 class TestScatteringStep:
