@@ -2,15 +2,11 @@
 
 from .errors import (
     BranchUnavailable,
-    ConstantUndefined,
-    DegenerateAction,
     DomainError,
-    DomainExit,
     NoCrossing,
     NotInDomain,
     ScatmapError,
     SingularCrest,
-    StalledProgress,
     TangencyPoint,
 )
 from .model import (

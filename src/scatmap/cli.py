@@ -259,7 +259,9 @@ def cmd_tangency(args, params: ModelParams) -> int:
 
 
 def cmd_orbit(args, params: ModelParams) -> int:
-    if args.ifrom is not None and args.ito is not None:
+    if (args.ifrom is None) != (args.ito is None):
+        raise ValueError("--ifrom and --ito go together: give both or neither")
+    if args.ifrom is not None:
         orbit = build_pseudo_orbit_highway(params, args.ifrom, args.ito,
                                            c=args.c, a=args.a)
     else:

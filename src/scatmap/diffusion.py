@@ -27,16 +27,7 @@ from .crests import (
     tangency_points,
     theta_of_psi,
 )
-from .errors import (
-    BranchUnavailable,
-    ConstantUndefined,
-    DegenerateAction,
-    DomainError,
-    NoCrossing,
-    NotInDomain,
-    StalledProgress,
-    TangencyPoint,
-)
+from .errors import BranchUnavailable, NotInDomain, ScatmapError
 from .highways import Side, highway_psi
 from .model import (
     TWO_PI,
@@ -49,7 +40,6 @@ from .scattering import (
     Branch,
     CrestBranch,
     ReducedPoint,
-    _EDGE,
     _OK,
     _gradient,
     _primary,
@@ -121,8 +111,8 @@ def inner_ergodization_time(I: float, eps: float, a: float) -> tuple[int, float]
     """Smallest k with |2*pi*k*I - 2*pi*l| < eps^a, and T_i = 2*pi*k.
 
     The Dirichlet box principle guarantees k <= N = ceil(2*pi/eps^a - 1);
-    a brute scan up to N realizes it.  Raises DegenerateAction when the
-    rotor is too slow to return (|I| <= eps).
+    a brute scan up to N realizes it.  Raises ScatmapError when the rotor
+    is too slow to return (|I| <= eps).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -130,7 +120,7 @@ def inner_ergodization_time(I: float, eps: float, a: float) -> tuple[int, float]
     if tol >= TWO_PI:
         raise ValueError("eps^a must be below 2*pi")
     if abs(I) <= eps:
-        raise DegenerateAction(f"|I| = {abs(I)!r} <= eps; rotor effectively frozen")
+        raise ScatmapError(f"|I| = {abs(I)!r} <= eps; rotor effectively frozen")
     k, _ = _dirichlet_base(I, tol)
     return k, TWO_PI * k
 
@@ -142,7 +132,7 @@ def _dirichlet_base(I: float, tol: float) -> tuple[int, float]:
         d = math.remainder(TWO_PI * k * I, TWO_PI)
         if abs(d) < tol:
             return k, d
-    raise DegenerateAction(f"no Dirichlet return within N = {n_max}")
+    raise ScatmapError(f"no Dirichlet return within N = {n_max}")
 
 
 def _inner_retarget(I: float, theta: float, theta_target: float,
@@ -175,10 +165,9 @@ def _region_constants(params: ModelParams, I_lo: float, I_hi: float,
     Each grid cell takes the gradient at five points (the cell and its
     central-difference stencil), all from one _gradient call.  A cell is
     dropped unless its five reason codes are _OK: a point without a primary
-    crossing or within _TANGENCY_GUARD of the tangency locus (_TANGENT)
-    drops it, and one on the crest window's edge (_EDGE) raises DomainError.
-    K is the spectral norm of the central differences, taken for all cells
-    in one batch.
+    crossing, within _TANGENCY_GUARD of the tangency locus (_TANGENT) or on
+    the crest window's edge (_EDGE) drops it.  K is the spectral norm of the
+    central differences, taken for all cells in one batch.
     """
     h = 1e-5
     I = np.repeat(np.linspace(I_lo, I_hi, grid_n), grid_n)
@@ -186,8 +175,6 @@ def _region_constants(params: ModelParams, I_lo: float, I_hi: float,
     I_pts = np.stack([I, I + h, I - h, I, I], axis=1).ravel()
     th_pts = np.stack([theta, theta, theta, theta + h, theta - h], axis=1).ravel()
     d_i, d_theta, why = _gradient(params, I_pts, th_pts, 0.0)
-    if (why == _EDGE).any():
-        raise DomainError("slope of horizontal parameterization undefined")
     grad = np.where((why == _OK)[:, None], np.stack([d_i, d_theta], axis=1), np.nan)
     grad = grad.reshape(-1, 5, 2)
     grad = grad[~np.isnan(grad).any(axis=(1, 2))]   # (cell, stencil point, d/dI or d/dtheta)
@@ -231,106 +218,82 @@ def _lane_theta(params: ModelParams, I: float, side: Side) -> float:
         return math.nan
 
 
-def _homoclinic_time(params: ModelParams, I_star: float) -> float:
+def _drift(params: ModelParams, side: Side, c: float, a: float,
+           region: tuple[float, float], in_band) -> PseudoOrbit:
+    """Scattering bursts from I = region[0] to region[1] (branch A where
+    in_band(I), else the single map), each followed by a rotor leg that
+    aims theta at the middle of branch A's window or back at the lane.
+
+    A burst ends after ceil(eps^-c) steps, at region[1], on a step that would
+    not raise I, or on any ScatmapError from scattering_step.  The lane theta
+    and band flag are found once per burst end and carried along: the inner
+    leg, its target and the next burst keep the action.
+    """
+    if not (0.0 < a < c < 1.0):
+        raise ValueError("exponents must satisfy 0 < a < c < 1")
+    eps = params.eps
+    if eps == 0.0:
+        raise ScatmapError("eps = 0: the scattering map does not move I")
+    I_start, I_end = region
+    nss = max(1, math.ceil(eps ** (-c)))
+    tol_land = eps**a
     try:
-        return time_Th(params, max(abs(I_star), 1e-6))[0]
-    except (ConstantUndefined, ValueError):  # undefined constant or eps = 0
-        return math.nan
+        th_per_step = time_Th(params, max(abs(I_start), abs(I_end), 1e-6))[0]
+    except ScatmapError:   # mu*max(alpha) >= 1: the travel-time constant is undefined
+        th_per_step = math.nan
+    legs: list[OrbitLeg] = []
 
+    def target(I: float, lane: float, band: bool) -> float:
+        if band:
+            lo, hi = _admissible_window(params, I)
+            return 0.5 * (lo + hi)
+        if math.isnan(lane):   # highway_psi refused the lane at I
+            raise NotInDomain(f"crest not horizontal at I = {I!r}; highway lane undefined")
+        return lane
 
-class _OrbitBuilder:
-    def __init__(self, params: ModelParams, side: Side, c: float, a: float,
-                 region: tuple[float, float]):
-        if not (0.0 < a < c < 1.0):
-            raise ValueError("exponents must satisfy 0 < a < c < 1")
-        self.params = params
-        self.side = side
-        self.c = c
-        self.a = a
-        self.eps = params.eps
-        self.nss = max(1, math.ceil(self.eps ** (-c))) if self.eps > 0 else 1
-        self.tol_land = self.eps**a if self.eps > 0 else math.inf
-        self.legs: list[OrbitLeg] = []
-        self.region = region
-        self.th_per_step = _homoclinic_time(params, max(abs(region[0]), abs(region[1])))
-
-    def scattering_leg(self, pt: ReducedPoint, lane: float, branch: Branch,
-                       stop_I: float) -> tuple[ReducedPoint, float]:
-        """A burst from pt, whose lane theta is lane; returns the end point
-        and the lane theta at its action."""
+    lane, band = _lane_theta(params, I_start, side), in_band(I_start)
+    pt = ReducedPoint(I=I_start, theta=target(I_start, lane, band))
+    for _ in range(200_000):
         points = [pt]
-        for _ in range(self.nss):
+        for _ in range(nss):
             try:
-                new = scattering_step(self.params, pt, CrestBranch.MAXIMUM, branch)
-            except (TangencyPoint, NoCrossing, BranchUnavailable):
+                new = scattering_step(params, pt, CrestBranch.MAXIMUM,
+                                      Branch.A if band else Branch.SINGLE)
+            except ScatmapError:
                 break
             if new.I <= pt.I:
                 break  # the branch would move I the wrong way; re-aim first
             pt = new
             points.append(pt)
-            if pt.I >= stop_I:
+            if pt.I >= I_end:
                 break
         n = len(points) - 1
         dev0 = abs(wrap_signed(points[0].theta - lane))
-        lane = _lane_theta(self.params, pt.I, self.side)
-        bound = propagated_error_bound(
-            self.params, n, dev0 if math.isfinite(dev0) else self.tol_land,
-            self.region) if self.eps > 0 else math.inf
-        self.legs.append(OrbitLeg(
+        lane = _lane_theta(params, pt.I, side)
+        legs.append(OrbitLeg(
             mechanism=Mechanism.SCATTERING, points=tuple(points),
-            model_time=n * self.th_per_step, deviation_start=dev0,
-            deviation_end=abs(wrap_signed(pt.theta - lane)), error_bound=bound))
-        return pt, lane
-
-    def inner_leg(self, pt: ReducedPoint, lane: float,
-                  theta_target: float) -> ReducedPoint:
-        """A rotor leg at the fixed action of pt, whose lane theta is lane."""
-        if abs(pt.I) <= max(self.eps, _FROZEN_ACTION):
-            return pt  # rotor frozen near I = 0; the lane is crossed continuously
-        t, theta_new = _inner_retarget(pt.I, pt.theta, theta_target, self.tol_land)
-        new = ReducedPoint(I=pt.I, theta=theta_new)
-        self.legs.append(OrbitLeg(
-            mechanism=Mechanism.INNER, points=(pt, new), model_time=t,
-            deviation_start=abs(wrap_signed(pt.theta - lane)),
-            deviation_end=abs(wrap_signed(theta_new - lane)),
-            error_bound=self.tol_land))
-        return new
-
-    def drift(self, in_band) -> PseudoOrbit:
-        """Scattering bursts from I = region[0] to region[1] (branch A where
-        in_band(I), else the single map), each followed by a rotor leg that
-        aims theta at the middle of branch A's window or back at the lane.
-        The lane theta and band flag are found once per burst end and carried
-        along: the inner leg, its target and the next burst keep the action."""
-        params, (I_start, I_end) = self.params, self.region
-
-        def target(I: float, lane: float, band: bool) -> float:
-            if band:
-                lo, hi = _admissible_window(params, I)
-                return 0.5 * (lo + hi)
-            if math.isnan(lane):   # highway_psi refused the lane at I
-                raise NotInDomain(f"crest not horizontal at I = {I!r}; highway lane undefined")
-            return lane
-
-        lane, band = _lane_theta(params, I_start, self.side), in_band(I_start)
-        pt = ReducedPoint(I=I_start, theta=target(I_start, lane, band))
-        guard = 0
-        while pt.I < I_end:
-            before = pt.I
-            pt, lane = self.scattering_leg(pt, lane, Branch.A if band else Branch.SINGLE, I_end)
-            if pt.I >= I_end:
-                break
-            if pt.I - before <= self.eps * _STALL_FRACTION:
-                raise StalledProgress(
-                    f"burst advanced I by {pt.I - before!r} at I = {pt.I!r}"
-                )
-            band = in_band(pt.I)
-            pt = self.inner_leg(pt, lane, target(pt.I, lane, band))
-            guard += 1
-            if guard > 200_000:
-                raise StalledProgress("leg budget exhausted")
-        return PseudoOrbit(legs=tuple(self.legs), c=self.c, a=self.a,
-                           steps_per_burst=self.nss)
+            model_time=n * th_per_step, deviation_start=dev0,
+            deviation_end=abs(wrap_signed(pt.theta - lane)),
+            error_bound=propagated_error_bound(
+                params, n, dev0 if math.isfinite(dev0) else tol_land, region)))
+        if pt.I >= I_end:
+            return PseudoOrbit(legs=tuple(legs), c=c, a=a, steps_per_burst=nss)
+        gain = pt.I - points[0].I
+        if gain <= eps * _STALL_FRACTION:
+            raise ScatmapError(f"burst advanced I by {gain!r} at I = {pt.I!r}")
+        band = in_band(pt.I)
+        theta_target = target(pt.I, lane, band)
+        if abs(pt.I) > max(eps, _FROZEN_ACTION):
+            # a rotor leg at the fixed action; near I = 0 the rotor is frozen
+            # and the lane is crossed continuously, so there is none
+            t, theta = _inner_retarget(pt.I, pt.theta, theta_target, tol_land)
+            new = ReducedPoint(I=pt.I, theta=theta)
+            legs.append(OrbitLeg(
+                mechanism=Mechanism.INNER, points=(pt, new), model_time=t,
+                deviation_start=abs(wrap_signed(pt.theta - lane)),
+                deviation_end=abs(wrap_signed(theta - lane)), error_bound=tol_land))
+            pt = new
+    raise ScatmapError("leg budget exhausted")
 
 
 def _check_lane_interval(params: ModelParams, lo: float, hi: float):
@@ -352,14 +315,14 @@ def build_pseudo_orbit_highway(params: ModelParams, I_start: float, I_end: float
 
     Alternates bursts of at most ceil(eps^-c) truncated scattering steps with
     rotor legs that land theta back within eps^a of the lane.  Raises
-    StalledProgress when a burst ending short of I_end advances I by less
-    than eps*1e-3 (always the case at eps = 0) and NotInDomain when the
-    interval touches breakage.
+    ScatmapError at eps = 0 and when a burst ending short of I_end advances
+    I by less than eps*1e-3, and NotInDomain when the interval touches
+    breakage.
     """
     if I_end <= I_start:
         raise ValueError("I_end must exceed I_start (drift increases I)")
     _check_lane_interval(params, I_start, I_end)
-    return _OrbitBuilder(params, side, c, a, (I_start, I_end)).drift(lambda I: False)
+    return _drift(params, side, c, a, (I_start, I_end), lambda I: False)
 
 
 def _admissible_window(params: ModelParams, I: float) -> tuple[float, float]:
@@ -391,8 +354,8 @@ def build_pseudo_orbit_general(params: ModelParams, I_star: float,
     """
     if I_star <= 0.0:
         raise ValueError("I_star must be positive")
-    builder = _OrbitBuilder(params, _rising_side(params), c, a, (-I_star, I_star))
-    return builder.drift(lambda I: _in_band(params, I))
+    return _drift(params, _rising_side(params), c, a, (-I_star, I_star),
+                  lambda I: _in_band(params, I))
 
 
 def _in_band(params: ModelParams, I: float) -> bool:
@@ -439,7 +402,7 @@ def time_Th(params: ModelParams, I_star: float) -> tuple[float, float, float]:
     A = a_max if I_star >= i_alpha else alpha(I_star)
     m2a2 = (params.mu * A) ** 2
     if m2a2 >= 1.0:
-        raise ConstantUndefined(
+        raise ScatmapError(
             f"mu^2 A^2 = {m2a2!r} >= 1; travel-time constant undefined"
         )
     C = 16.0 * abs(params.a10) * (1.0 + ALPHA_PRIME_BOUND / math.sqrt(1.0 - m2a2))

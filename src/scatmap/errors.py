@@ -1,7 +1,10 @@
-"""Exception hierarchy for scatmap.
+"""Exception hierarchy for scatmap: one class per distinction a caller makes.
 
-Every numeric failure mode has its own class so callers (and the CLI)
-can distinguish "the geometry genuinely forbids this" from bad input.
+ScatmapError is any numeric failure; bad input raises ValueError (the CLI
+exits 1 on the one, 2 on the other).  NotInDomain carries a partial highway
+trace, DomainError marks the crest window's edge, and the benchmark tracer
+counts NoCrossing, SingularCrest, TangencyPoint and BranchUnavailable as
+crossing misses.  Every other failure raises ScatmapError.
 """
 
 
@@ -38,19 +41,3 @@ class NotInDomain(ScatmapError):
     def __init__(self, msg, partial=None):
         super().__init__(msg)
         self.partial = partial if partial is not None else []
-
-
-class DegenerateAction(ScatmapError):
-    """Action too small for the rotor to move the torus angle."""
-
-
-class StalledProgress(ScatmapError):
-    """Pseudo-orbit construction stopped making progress."""
-
-
-class ConstantUndefined(ScatmapError):
-    """Homoclinic travel-time constant undefined (mu*max(alpha) >= 1)."""
-
-
-class DomainExit(ScatmapError):
-    """Trajectory of the reduced flow left the branch domain."""

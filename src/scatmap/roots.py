@@ -96,7 +96,8 @@ def brentq_many(f, a, b, args: tuple = (), xtol: float = 2e-12) -> np.ndarray:
     """brentq on each bracket [a[k], b[k]] at once; f(x, *args) works on arrays.
 
     Each lane does brentq's float operations in brentq's order: np.where
-    picks the lane's branch and finished lanes (with their args) drop out.
+    picks the lane's branch.  Every lane runs to the end, and its root is
+    recorded when it finishes; a finished lane's later values are never read.
     So root k is brentq's float for lane k wherever the array form of f
     gives the scalar form's floats.  Raises as brentq does when a lane would.
     """
@@ -105,11 +106,9 @@ def brentq_many(f, a, b, args: tuple = (), xtol: float = 2e-12) -> np.ndarray:
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
     fpre, fcur = _no_nan(f(xpre, *args), xpre), _no_nan(f(xcur, *args), xcur)
     root = np.where(fpre == 0.0, xpre, xcur)
-    live = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))
-    if ((fpre[live] < 0.0) == (fcur[live] < 0.0)).any():
+    live = (fpre != 0.0) & (fcur != 0.0)
+    if (live & ((fpre < 0.0) == (fcur < 0.0))).any():
         raise ValueError("f(a) and f(b) must have different signs")
-    xpre, xcur, fpre, fcur = xpre[live], xcur[live], fpre[live], fcur[live]
-    args = tuple(np.asarray(v)[live] for v in args)
     xblk = fblk = spre = scur = np.zeros(live.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAXITER):
@@ -123,14 +122,10 @@ def brentq_many(f, a, b, args: tuple = (), xtol: float = 2e-12) -> np.ndarray:
 
             delta = (xtol + _RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
-            done = (fcur == 0.0) | (np.abs(sbis) < delta)
-            if done.any():
-                root[live[done]] = xcur[done]
-                go = ~done
-                live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, *args = (
-                    v[go] for v in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre,
-                                    scur, delta, sbis, *args))
-            if not live.size:
+            done = live & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            root[done] = xcur[done]
+            live &= ~done
+            if not live.any():
                 return root
 
             # brentq's trial step; lanes that do not try it drop its 0/0
@@ -149,13 +144,13 @@ def brentq_many(f, a, b, args: tuple = (), xtol: float = 2e-12) -> np.ndarray:
             xpre, fpre = xcur, fcur
             xcur = xcur + np.where(np.abs(scur) > delta, scur,
                                    np.where(sbis > 0, delta, -delta))
-            fcur = _no_nan(f(xcur, *args), xcur)
+            fcur = _no_nan(f(xcur, *args), xcur, live)
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
-def _no_nan(fx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """fx, unless some lane is NaN: then brentq's error for the first such x."""
-    nan = np.isnan(fx)
+def _no_nan(fx: np.ndarray, x: np.ndarray, live=True) -> np.ndarray:
+    """fx, unless a live lane is NaN: then brentq's error for the first such x."""
+    nan = np.isnan(fx) & live
     if nan.any():
         raise _nan_error(float(x[np.argmax(nan)]))
     return fx

@@ -39,7 +39,6 @@ from .crests import (
 from .errors import (
     BranchUnavailable,
     DomainError,
-    DomainExit,
     NoCrossing,
     ScatmapError,
     SingularCrest,
@@ -270,7 +269,6 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(points), np.concatenate(sigmas)
 
 
-@lru_cache(maxsize=4096)
 def _branch_psi_domains(params: ModelParams, I: float) -> dict[Branch, tuple[tuple[float, float], ...]] | None:
     """psi-interval domains of the three bijective branches, or None if no tangency."""
     info = tangency_points(params, I)
@@ -495,7 +493,7 @@ def scattering_branches(params: ModelParams, I: float, theta: float,
     info = tangency_points(params, I)
     if info is None:
         return BranchSet(available=(Branch.SINGLE,), domains={}, tangency=None)
-    domains = dict(_branch_psi_domains(params, I))  # copy: cache stays pristine
+    domains = _branch_psi_domains(params, I)
     th = wrap_angle(theta)
     tol = 1e-12
     if info.theta2 - tol <= th <= info.theta1 + tol:
@@ -553,7 +551,9 @@ def flow_reduced_hamiltonian(params: ModelParams, pt: ReducedPoint, t: float,
 
     The truncated scattering map is the Euler step of this system, so n map
     iterates track this flow at time n*eps.  Conserves the reduced function
-    to ~1e-9 per unit time at the default tolerances.
+    to ~1e-9 per unit time at the default tolerances.  Where the flow leaves
+    the branch domain the map's own error propagates (NoCrossing in a hole);
+    a failed integration raises ScatmapError.
     """
     if t == 0.0:
         return pt
@@ -563,11 +563,8 @@ def flow_reduced_hamiltonian(params: ModelParams, pt: ReducedPoint, t: float,
         d_i, d_theta = grad_reduced_poincare(params, y[0], y[1], crest, branch)
         return [d_theta, -d_i]
 
-    try:
-        sol = solve_ivp(rhs, (0.0, t), [pt.I, pt.theta], method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=False)
-    except ScatmapError as exc:
-        raise DomainExit(f"reduced flow left its branch domain: {exc}") from exc
+    sol = solve_ivp(rhs, (0.0, t), [pt.I, pt.theta], method="DOP853",
+                    rtol=rtol, atol=atol, dense_output=False)
     if not sol.success:
-        raise DomainExit(f"reduced flow integration failed: {sol.message}")
+        raise ScatmapError(f"reduced flow integration failed: {sol.message}")
     return ReducedPoint(I=float(sol.y[0, -1]), theta=float(sol.y[1, -1]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAction, NotInDomain, ScatmapError
+from .errors import NotInDomain, ScatmapError
 from .highways import Side, highway_psi
 from .model import (
     FullState,
@@ -109,12 +109,13 @@ def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
     full system for 2*T0, and reads the jump off the rotor first integral
     model.inner_first_integral, which is constant except during the
     excursion.  Returns (dI_measured, dI_predicted = eps * dL*/dphi).
+    Raises ScatmapError for a torus that barely rotates (|I| < 1e-6).
 
     T0 defaults to log(1/eps) + 5.  Much larger values degrade the result:
     the hyperbolic stretch re-amplifies the launch offset.
     """
     if abs(I) < 1e-6:
-        raise DegenerateAction(
+        raise ScatmapError(
             "jump measurement needs a rotating torus (|I| >= 1e-6)")
     if params.eps == 0.0:
         return 0.0, 0.0
@@ -133,14 +134,6 @@ def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
     return (Gf - G0) / I, predicted
 
 
-def gradient_norm_on_highway(params: ModelParams, I: float,
-                             side: Side = Side.RIGHT) -> float:
-    """Norm of the reduced-function gradient at the lane point of action I."""
-    psi = highway_psi(params, abs(I), side)
-    tau = -xi_max_raw(params, abs(I), psi)
-    return math.hypot(*_grad_at_crossing(params, abs(I), tau, psi))
-
-
 def epsilon_star(params: ModelParams, I_star: float,
                  grid: int = 801) -> EpsilonStarEstimate:
     """Largest perturbation for which the gradient dominates along the lane.
@@ -148,6 +141,8 @@ def epsilon_star(params: ModelParams, I_star: float,
     Minimizes the gradient norm over lane samples with |I| <= I_star (the
     function is even in I, so only [0, I_star] is scanned) and reports the
     large-action envelope 4*pi*|a10|*I_star*exp(-pi*I_star/2) next to it.
+    Each sample's crossing is the right lane's (tau = -xi at psi_h(I)); the
+    gradient at all of them is one _grad_at_crossing call.
     """
     if I_star <= 0.0:
         raise ValueError("I_star must be positive")
@@ -156,7 +151,10 @@ def epsilon_star(params: ModelParams, I_star: float,
     if crest_orientation(params, I_star) is not Orientation.HORIZONTAL:
         raise NotInDomain(f"lane undefined at I = {I_star!r}")
     Is = np.linspace(0.0, I_star, grid)
-    vals = np.array([gradient_norm_on_highway(params, float(I)) for I in Is])
+    psi = np.array([highway_psi(params, I, Side.RIGHT) for I in Is.tolist()])
+    tau = -np.array([xi_max_raw(params, I, p) for I, p in zip(Is.tolist(), psi.tolist())])
+    d_i, d_theta = _grad_at_crossing(params, Is, tau, psi)
+    vals = [math.hypot(gi, gt) for gi, gt in zip(d_i.tolist(), d_theta.tolist())]
     k = int(np.argmin(vals))
     envelope = 4.0 * math.pi * abs(params.a10) * I_star * math.exp(-math.pi * I_star / 2.0)
     return EpsilonStarEstimate(value=float(vals[k]), envelope=envelope,

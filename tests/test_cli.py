@@ -212,6 +212,12 @@ class TestOrbit:
         assert out == run(capsys, "portrait", "--mu", "0.6", "--grid", "8")[1]
         assert out.count("\n") == 1 + 8 * 8   # the grid only
 
+    @pytest.mark.parametrize("flag", ["--ifrom", "--ito"])
+    def test_lone_interval_flag_is_config_error(self, capsys, flag):
+        code, out, err = run(capsys, "orbit", "--mu", "0.6", "--eps", "0.05", flag, "1")
+        assert (code, out) == (2, "")
+        assert "configuration error: --ifrom and --ito go together" in err
+
     def test_zero_eps_is_numeric_failure(self, capsys):
         code, _, err = run(capsys, "orbit", "--mu", "0.6", "--eps", "0",
                            "--ifrom", "-1", "--ito", "1")

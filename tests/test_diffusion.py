@@ -6,13 +6,9 @@ import pytest
 from scipy.special import shichi
 
 import scatmap.diffusion as df
+import scatmap.scattering as sc
 from scatmap import ModelParams
-from scatmap.errors import (
-    ConstantUndefined,
-    DegenerateAction,
-    NotInDomain,
-    StalledProgress,
-)
+from scatmap.errors import DomainError, NotInDomain, ScatmapError
 from scatmap.highways import Side, highway_psi
 from scatmap.model import TWO_PI, wrap_signed
 from scatmap.scattering import ReducedPoint, flow_reduced_hamiltonian, scattering_step
@@ -54,7 +50,7 @@ class TestErgodization:
         assert abs(I - Fraction(l, k)) < eps**a / (TWO_PI * k)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateAction):
+        with pytest.raises(ScatmapError, match="rotor effectively frozen"):
             df.inner_ergodization_time(0.001, eps=0.05, a=0.5)
 
 
@@ -114,10 +110,38 @@ class TestHighwayOrbit:
         for pt in pts[:: max(1, len(pts) // 60)]:
             assert scattering_branches(P05, pt.I, pt.theta).available
 
-    def test_zero_eps_stalls(self):
+    def test_zero_eps_stalls(self, monkeypatch):
+        # both builders refuse eps = 0 before any step is taken
+        def step(*args, **kwargs):
+            raise AssertionError("scattering_step called at eps = 0")
+
+        monkeypatch.setattr(df, "scattering_step", step)
         p = ModelParams(0.0, 0.6, 1.0, eps=0.0)
-        with pytest.raises(StalledProgress):
-            df.build_pseudo_orbit_highway(p, -1.0, 1.0)
+        for build in (lambda: df.build_pseudo_orbit_highway(p, -1.0, 1.0),
+                      lambda: df.build_pseudo_orbit_general(p, 1.0)):
+            with pytest.raises(ScatmapError, match="eps = 0: the scattering map does not move I"):
+                build()
+
+    def test_domain_error_mid_burst_ends_the_burst(self, monkeypatch):
+        # a step onto the crest window's edge raises DomainError: the burst
+        # ends at the step before it, and the orbit still reaches the target
+        calls = []
+
+        def step(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 3:
+                raise DomainError("slope of horizontal parameterization undefined")
+            return scattering_step(*args, **kwargs)
+
+        monkeypatch.setattr(df, "scattering_step", step)
+        orbit = df.build_pseudo_orbit_highway(P05, -1.0, 1.0)
+        assert orbit.final_point.I >= 1.0
+        cap = math.ceil(P05.eps**-0.5)
+        assert cap > 3   # the error falls inside the first burst
+        first = orbit.legs[0]
+        assert first.mechanism is df.Mechanism.SCATTERING
+        assert first.points == tuple(calls[:3])   # start, then two good steps
+        assert orbit.legs[1].mechanism is df.Mechanism.INNER
 
     def test_burst_reaching_the_end_is_not_stalled(self):
         # at I = 9 a step gains about 5e-7 < eps * 1e-3, but it passes I_end
@@ -249,7 +273,7 @@ class TestTravelTime:
 
     def test_undefined_when_mu_alpha_reaches_one(self):
         p = ModelParams(0.0, 1.2, 1.0, eps=0.01)
-        with pytest.raises(ConstantUndefined):
+        with pytest.raises(ScatmapError, match="travel-time constant undefined"):
             df.time_Th(p, 4.0)
 
 
@@ -283,6 +307,25 @@ class TestDiffusionTime:
 
 
 class TestPropagatedErrorBound:
+    def test_edge_stencil_point_drops_its_cell(self, p06, monkeypatch):
+        # a stencil point on the crest window's edge drops its cell, as one
+        # near the tangency locus does; neither raises
+        gradient = df._gradient
+
+        def marking(code):
+            def patched(*args):
+                d_i, d_theta, why = gradient(*args)
+                assert why[7] == sc._OK
+                why[7] = code
+                return d_i, d_theta, why
+            return patched
+
+        found = []
+        for code in (sc._EDGE, sc._TANGENT):
+            monkeypatch.setattr(df, "_gradient", marking(code))
+            found.append(df._region_constants.__wrapped__(p06, 0.5, 1.5, 9))
+        assert found[0] == found[1]
+
     def test_zero_steps_returns_deviation(self, p06):
         assert df.propagated_error_bound(p06, 0, 0.123, (0.0, 2.0)) == 0.123
 

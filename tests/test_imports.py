@@ -10,7 +10,10 @@ the tests alone do not keep it alive.  No module of src/scatmap but cli.py
 reads the process environment (os.environ, os.getenv): sizes such as the
 crossing kernel's blocks are constants, not hidden knobs.  model.py and
 crests.py import no NumPy: their closed forms stay scalar, and the array
-code that evaluates them lives in scattering.py.
+code that evaluates them lives in scattering.py.  errors.py keeps a class
+only for a distinction some caller makes: no except clause of src/scatmap
+names two or more of its classes, and each is raised (called) somewhere in
+src/scatmap outside errors.py.
 """
 import ast
 from pathlib import Path
@@ -19,6 +22,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src/scatmap").glob("*.py"))
+ERRORS = ROOT / "src/scatmap/errors.py"
 FILES = sorted(path for folder in ("src/scatmap", "tests", "scripts")
                for path in (ROOT / folder).glob("*.py") if path.name != "__init__.py")
 
@@ -129,3 +133,54 @@ def test_scanner_sees_a_numpy_import():
 @pytest.mark.parametrize("name", ["model.py", "crests.py"])
 def test_scalar_modules_import_no_numpy(name):
     assert numpy_imports((ROOT / "src/scatmap" / name).read_text(encoding="utf-8")) == []
+
+
+def _called_name(node) -> str | None:
+    """The name a node refers to: x for x and for m.x."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def error_classes(source: str) -> set[str]:
+    return {node.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+
+
+def multi_error_handlers(source: str, classes: set[str]) -> list[str]:
+    """The except clauses of a source that name two or more of the classes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+            names = [n for n in map(_called_name, node.type.elts) if n in classes]
+            if len(names) >= 2:
+                found.append(f"line {node.lineno}: {', '.join(names)}")
+    return found
+
+
+def uninstantiated(classes: set[str], sources: list[str]) -> list[str]:
+    """The classes that no source calls."""
+    called = {_called_name(node.func) for source in sources
+              for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+    return sorted(classes - called)
+
+
+def test_scanner_sees_a_multi_error_handler():
+    source = ("try:\n    f()\nexcept (A, ValueError):\n    pass\n"
+              "try:\n    f()\nexcept (A, errors.B):\n    pass\n"
+              "try:\n    f()\nexcept A:\n    pass\n")
+    assert multi_error_handlers(source, {"A", "B"}) == ["line 7: A, B"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_handler_names_two_error_classes(path):
+    classes = error_classes(ERRORS.read_text(encoding="utf-8"))
+    assert multi_error_handlers(path.read_text(encoding="utf-8"), classes) == []
+
+
+def test_scanner_sees_an_uninstantiated_class():
+    sources = ["raise A('x')\nkind = errors.B\n", "err = m.C()\nisinstance(err, B)\n"]
+    assert uninstantiated({"A", "B", "C"}, sources) == ["B"]
+
+
+def test_every_error_class_is_raised():
+    classes = error_classes(ERRORS.read_text(encoding="utf-8"))
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE if path != ERRORS]
+    assert uninstantiated(classes, sources) == []

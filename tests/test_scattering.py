@@ -749,8 +749,7 @@ class TestReducedFlow:
         assert abs(after - before) <= 1e-8
 
     def test_domain_exit_in_hole(self, p15):
-        from scatmap.errors import DomainExit
-        with pytest.raises(DomainExit):
+        with pytest.raises(NoCrossing):
             sc.flow_reduced_hamiltonian(p15, sc.ReducedPoint(I=1.0, theta=math.pi), 1.0)
 
     def test_matches_iterated_steps(self):

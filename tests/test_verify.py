@@ -81,8 +81,8 @@ class TestHomoclinicJump:
         assert meas == 0.0 and pred == 0.0
 
     def test_frozen_rotor_rejected(self, p06):
-        from scatmap.errors import DegenerateAction
-        with pytest.raises(DegenerateAction):
+        from scatmap.errors import ScatmapError
+        with pytest.raises(ScatmapError, match="needs a rotating torus"):
             vf.measure_homoclinic_jump(p06, 0.0, 1.0, 0.0)
 
     def test_first_order_agreement_and_sign(self):
