@@ -67,7 +67,7 @@ def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     crossing |= nan[1:, :-1]
     np.logical_not(crossing, out=crossing)
     crossing &= (case != 0) & (case != 15)
-    jj, ii = np.nonzero(crossing)
+    jj, ii = np.divmod(np.flatnonzero(crossing), crossing.shape[1])
 
     c = case[jj, ii].astype(np.intp)
     saddle = (c == 5) | (c == 10)

@@ -59,7 +59,7 @@ from .roots import brentq, brentq_many
 # sigma sampling step for the crossing scan (half-window pi is split in 200)
 _SCAN_STEP = math.pi / 200.0
 # points the crossing kernel scans at once; bounds its scan arrays (410 kB
-# of floats, 3 x 52 kB of flags)
+# of floats, 3 x 52 kB of flags) and sine tables (3.2 kB per action)
 _CHUNK = 256
 # points whose brackets the kernel refines in one call: a 400 x 400 grid's
 # refinement takes 0.30 s in 1,024-point calls, 0.67 s in 256-point ones
@@ -67,6 +67,9 @@ _BLOCK = 4 * _CHUNK
 # brackets from which roots.brentq_many beats a roots.brentq loop: at 1-64 it
 # costs 270-740 us against 6-530 us for the loop (2-core x86-64 VM, NumPy 2.4)
 _LOCKSTEP_MIN = 64
+# points per action from which _fill uses sine tables: at 16 as fast as sines,
+# at 64 0.2-0.4 and at 1-2 1.3-4.5 times their time (2-core x86-64, NumPy 2.4)
+_TABLE_MIN = 16
 # reject gradients closer to a tangency than this in |d theta / d psi|
 _TANGENCY_GUARD = 1e-6
 # reason codes: a primary crossing, or why there is none (_primary); at a
@@ -159,11 +162,34 @@ def _per_action(params: ModelParams, I, *forms) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=2)
-def _scan_samples(crest: CrestBranch) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse scan's samples of the crest window, and their sines."""
+def _scan_samples(crest: CrestBranch) -> np.ndarray:
+    """The coarse scan's samples of the crest window."""
     lo, hi = _sigma_window(crest)
-    xs = np.linspace(lo, hi, max(8, int(math.ceil((hi - lo) / _SCAN_STEP))) + 1)
-    return xs, np.sin(xs)
+    return np.linspace(lo, hi, max(8, int(math.ceil((hi - lo) / _SCAN_STEP))) + 1)
+
+
+def _fill(v, xs, a, I, phi, s) -> tuple[np.ndarray, float]:
+    """Fill v with c at the samples xs of each point; return the point of each
+    row and delta >= |v - c|, c being _crest_many's float.  With _TABLE_MIN
+    points per distinct action the rows, sorted by action, are (a sin(beta),
+    a cos(beta)) @ (cos(I xs), sin(I xs)) + sin(xs), beta = phi - I*s: one
+    sine table per action, within 1e-12*(1 + |a|*(1 + |phi| + |I|*(|s| + 5)))
+    per point (docs/DECISIONS.md).  Else c itself, and delta = 0."""
+    if len(I) >= _TABLE_MIN:
+        row = np.argsort(I, kind="stable")
+        action = I[row]
+        first = np.flatnonzero(np.r_[True, action[1:] != action[:-1]])
+        if len(I) >= _TABLE_MIN * len(first):
+            delta = 1e-12 * np.fmax.reduce(1 + abs(a) * (1 + abs(phi) + abs(I) * (abs(s) + 5)))
+            a, beta = a[row], phi[row] - action * s[row]
+            weights = np.stack([a * np.sin(beta), a * np.cos(beta)], axis=1)
+            bounds = [*first.tolist(), len(I)]
+            for x, lo, hi in zip(np.multiply.outer(action[first], xs), bounds, bounds[1:]):
+                np.einsum("kj,jl->kl", weights[lo:hi], [np.cos(x), np.sin(x)], out=v[lo:hi])
+            v += np.sin(xs)
+            return row, float(delta)
+    v[:] = _crest_many(xs, a[:, None], phi[:, None], I[:, None], s[:, None])
+    return np.arange(len(I)), 0.0
 
 
 def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray]:
@@ -171,14 +197,16 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
     s[k]) with the crest, a[k] being the crest coefficient: the sigmas in the
     crest window with c(sigma) = 0 (to 1e-12), sorted by point, then sigma.
 
-    The points are scanned _CHUNK at a time in working arrays reused from
-    chunk to chunk.  A coarse scan of c over the window's samples finds exact
-    zeros and sign-change brackets; cells holding a grazing pair (local |c|
-    minimum without sign change) are rescanned finely so that near-tangency
-    double roots are not dropped.  All brackets of a _BLOCK of points are
-    refined at once, by roots.brentq_many, or by a roots.brentq loop below
-    _LOCKSTEP_MIN brackets (same floats).  Roots with |c| > 1e-12 are dropped,
-    and a root within 1e-10 of its point's last kept root is merged into it.
+    Points are scanned _CHUNK at a time in reused working arrays: _fill
+    writes c at the window's samples, from sine tables to within delta.
+    Samples with |c| < 2e-3 + delta, a sign change or the next one that small
+    are candidates; there c and both neighbours are recomputed exactly, and
+    only those floats find the exact scan's zeros, brackets and grazing pairs
+    (local |c| minimum below 2e-3 without sign change, rescanned finely to
+    keep near-tangency double roots).  A _BLOCK's brackets are refined at
+    once, by roots.brentq_many, or by a roots.brentq loop below _LOCKSTEP_MIN
+    brackets (same floats).  Roots with |c| > 1e-12 are dropped, and a root
+    within 1e-10 of its point's last kept root is merged into it.
 
     While the crest is horizontal its component through (0, 0) is exactly
     the graph covered by the maximum sigma-window.  Once it turns vertical
@@ -187,7 +215,7 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
     points left without any admissible root are the holes.
     """
     want_positive = crest is CrestBranch.MAXIMUM
-    xs, sin_xs = _scan_samples(crest)
+    xs = _scan_samples(crest)
     last = len(xs) - 1
     values = np.empty((min(len(I), _CHUNK), len(xs)))
     flags = np.empty((3, *values.shape), dtype=bool)
@@ -196,22 +224,22 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
         found = []   # per chunk: scan zeros, brackets, fine zeros (point, sigma)
         for start in range(block, min(block + _BLOCK, len(I)), _CHUNK):
             ca, cI, cphi, cs = (v[start:start + _CHUNK] for v in (a, I, phi, s))
-            # c at the samples, with _crest_fn's operations, in place
-            v = np.subtract(xs, cs[:, None], out=values[:len(cs)])
-            v *= cI[:, None]
-            v += cphi[:, None]
-            np.sin(v, out=v)
-            v *= ca[:, None]
-            v += sin_xs
-            # one nonzero pass over the samples with |c| < 2e-3 or a sign change
-            # to the next one (a superset of those with c * c_next < 0)
+            v = values[:len(cs)]
+            row, delta = _fill(v, xs, ca, cI, cphi, cs)
+            # candidates: a superset of the samples with |c| < 2e-3 or c * c_next < 0
             flag, neg, above = flags[:, :len(cs)]
-            np.less(v, 2e-3, out=flag)
-            flag &= np.greater(v, -2e-3, out=above)
+            np.less(v, 2e-3 + delta, out=flag)
+            flag &= np.greater(v, -2e-3 - delta, out=above)
             np.less(v, 0.0, out=neg)
-            flag[:, :-1] |= np.not_equal(neg[:, :-1], neg[:, 1:], out=above[:, :-1])
-            k, i = np.nonzero(flag)
-            c, c_next = v[k, i], v[k, np.minimum(i + 1, last)]   # last sample: no bracket
+            np.not_equal(neg[:, :-1], neg[:, 1:], out=above[:, :-1])
+            above[:, :-1] |= flag[:, 1:]
+            flag[:, :-1] |= above[:, :-1]
+            r, i = np.divmod(np.flatnonzero(flag), len(xs))
+            k = row[r]
+            if delta > 0.0:   # table values: c exactly at each candidate and its neighbours
+                near = np.stack([np.maximum(i - 1, 0), i, np.minimum(i + 1, last)])
+                v[r, near] = _crest_many(xs[near], ca[k], cphi[k], cI[k], cs[k])
+            c, c_next = v[r, i], v[r, np.minimum(i + 1, last)]   # last sample: no bracket
             zero = c == 0.0
             cross = c * c_next < 0.0
             point, lo, hi = k[cross], xs[i[cross]], xs[i[cross] + 1]
@@ -219,7 +247,7 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
             # grazing pairs: interior local minima of |c| below a coarse threshold
             small = np.abs(c) < 2e-3
             if small.any():
-                c_prev = v[k, np.maximum(i - 1, 0)]
+                c_prev = v[r, np.maximum(i - 1, 0)]
                 graze = (small & (i > 0) & (i < last)
                          & (np.abs(c) <= np.abs(c_prev)) & (np.abs(c) <= np.abs(c_next))
                          & (c_prev * c > 0.0) & (c * c_next > 0.0))
@@ -228,10 +256,10 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
                     sub = np.linspace(xs[gi - 1], xs[gi + 1], 257, axis=1)
                     sv = _crest_many(sub, ca[gk, None], cphi[gk, None], cI[gk, None],
                                      cs[gk, None])
-                    sr, sj = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0.0)
+                    sr, sj = np.divmod(np.flatnonzero(sv[:, :-1] * sv[:, 1:] < 0.0), 256)
                     point, lo = np.append(point, gk[sr]), np.append(lo, sub[sr, sj])
                     hi = np.append(hi, sub[sr, sj + 1])
-                    zr, zj = np.nonzero(sv[:, :-1] == 0.0)
+                    zr, zj = np.divmod(np.flatnonzero(sv[:, :-1] == 0.0), 256)
                     fine_point, fine_zero = gk[zr], sub[zr, zj]
             found.append((k[zero] + start, xs[i[zero]], point + start, lo, hi,
                           fine_point + start, fine_zero))
@@ -308,9 +336,11 @@ def _primary(params: ModelParams, I, phi, s,
     keep = ~singular[point]   # a singular crest's roots are not used
     if branch is not Branch.SINGLE:
         # with no tangency (domains None) the one crossing serves every label
-        for j in np.flatnonzero(keep).tolist():
-            domains = _branch_psi_domains(params, float(I[point[j]]))
-            keep[j] = domains is None or in_intervals(psi[j], domains[branch], tol=1e-9)
+        kept = np.flatnonzero(keep).tolist()
+        actions = I[point[kept]].tolist()
+        domains = {v: _branch_psi_domains(params, v) for v in dict.fromkeys(actions)}   # once each
+        for j, v in zip(kept, actions):
+            keep[j] = domains[v] is None or in_intervals(psi[j], domains[v][branch], tol=1e-9)
     why = np.full(len(I), _MISSES)
     why[point] = _OFF_BRANCH
     point, tau, psi, sigma = point[keep], tau[keep], psi[keep], sigma[keep]

@@ -1,8 +1,10 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import scatmap.scattering as sc
@@ -135,8 +137,59 @@ def assert_same_roots(params, I, phi, s, crest):
     return got
 
 
+@contextlib.contextmanager
+def recorded_fills():
+    """The delta of each sc._fill call in the block: > 0 where sine tables filled."""
+    deltas, fill = [], sc._fill
+
+    def recorded(*args):
+        row, delta = fill(*args)
+        deltas.append(delta)
+        return row, delta
+
+    with mock.patch.object(sc, "_fill", recorded):
+        yield deltas
+
+
 def as_mu(mu):
     return ModelParams(a00=0.0, a10=mu, a01=1.0, eps=0.01)
+
+
+@st.composite
+def table_batches(draw):
+    """(mu, crest, I, phi, s): one to three actions, each over 64 to 100
+    points, shuffled.  Each action is a draw, a far one (|I| up to 2,000), a
+    tangency action or, at mu = 1.5, the singular one.  Each point is a theta
+    = pi tie, a segment through the crest at a scan sample (phi = 0, s the
+    window's middle sample), a grazing pair 1e-7 to 1e-3 inside a band edge,
+    or uniform in phi with s zero, across the window or beyond it."""
+    mu, crest = draw(st.sampled_from(MUS)), draw(st.sampled_from([MAX, MIN]))
+    p = as_mu(mu)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([0.0, 1.0, 10.0]))
+    middle = sc._scan_samples(crest)[100]
+    I, phi, s = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        act = draw(st.one_of(st.floats(-3.5, 3.5), st.floats(-2000.0, 2000.0),
+                             st.sampled_from([1.5, 2.2, 0.5041156496613117])))
+        info = tangency_points(p, act)
+        for _ in range(draw(st.integers(64, 100))):
+            kind = rng.integers(4)
+            if kind == 0:
+                point = (math.pi, 0.0)
+            elif kind == 1:
+                point = (0.0, middle)
+            elif kind == 2 and info is not None:
+                delta = 10.0 ** rng.uniform(-7.0, -3.0)
+                point = rng.choice([info.theta1 - delta, info.theta2 + delta]), 0.0
+            else:
+                point = (rng.uniform(0.0, TWO_PI), rng.uniform(-span, span) if span != 1.0
+                         else rng.uniform(-math.pi / 2.0, 1.5 * math.pi))
+            I.append(act)
+            phi.append(float(point[0]))
+            s.append(float(point[1]))
+    order = rng.permutation(len(I)).tolist()
+    return (mu, crest, *([v[j] for j in order] for v in (I, phi, s)))
 
 
 def crossing_residual(params, I, ts):
@@ -212,6 +265,73 @@ class TestCrossingKernel:
         assume(points)
         I, phi, s = (list(v) for v in zip(*points))
         assert_same_roots(p, I, phi, s, crest)
+
+    @given(table_batches())
+    @example((0.6, MAX, [-2.5] * 64, [math.pi] * 64, [0.0] * 64))   # a root at -2.8e-16
+    @settings(max_examples=30, deadline=None)
+    def test_table_path_matches_reference(self, batch):
+        # few actions, each over 64 or more points in random order: chunks
+        # fill their scan from sine tables and still give the reference roots
+        mu, crest, I, phi, s = batch
+        with recorded_fills() as deltas:
+            assert_same_roots(as_mu(mu), I, phi, s, crest)
+        assert max(deltas) > 0.0
+
+    @given(st.floats(-1e4, 1e4), st.floats(-10.0, 10.0),
+           st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e3, 1e3)),
+                    min_size=sc._TABLE_MIN, max_size=sc._TABLE_MIN + 20))
+    @settings(max_examples=100, deadline=None)
+    def test_table_within_bound(self, I, a, points):
+        # one action over _TABLE_MIN or more points: the table fills the chunk,
+        # each value within delta_k of _crest_many's float, extreme I, phi, s
+        phi, s = (np.array(v) for v in zip(*points))
+        n = len(phi)
+        xs = sc._scan_samples(MAX)
+        v = np.empty((n, len(xs)))
+        row, delta = sc._fill(v, xs, np.full(n, a), np.full(n, I), phi, s)
+        exact = sc._crest_many(xs, a, phi[row, None], I, s[row, None])
+        bound = 1e-12 * (1.0 + abs(a) * (1.0 + np.abs(phi) + abs(I) * (np.abs(s) + 5.0)))
+        assert delta == bound.max() > 0.0
+        assert (np.abs(v - exact) <= bound[row, None]).all()
+
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("crest", [MAX, MIN])
+    def test_table_equals_sine_fill(self, mu, crest, monkeypatch):
+        # every action of the grid tests (the singular one included) over the
+        # 40 grid thetas, 0 and pi among them, and grazing pairs inside each
+        # band edge: the table fill gives the sine fill's crossings
+        p = as_mu(mu)
+        I = np.append(np.linspace(-3.5, 3.5, 141), 0.5041156496613117)
+        phi = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+        I, phi = np.repeat(I, len(phi)), np.tile(phi, len(I))
+        for act in np.linspace(1.2, 2.8, 9):
+            info = tangency_points(p, float(act))
+            if info is not None:
+                delta = np.repeat(10.0 ** np.arange(-7.0, -2.0), 4)
+                I = np.append(I, np.full(2 * len(delta), act))
+                phi = np.concatenate([phi, info.theta1 - delta, info.theta2 + delta])
+        with recorded_fills() as deltas:
+            got = crossing_lists(p, I, phi, 0.0, crest)
+        assert min(deltas) > 0.0 and len(deltas) == math.ceil(len(I) / sc._CHUNK)
+        monkeypatch.setattr(sc, "_TABLE_MIN", len(I) + 1)
+        assert crossing_lists(p, I, phi, 0.0, crest) == got
+
+    def test_table_selection(self, p09):
+        # a batch of one is filled with sines; a 400-cell grid row (a 256-point
+        # chunk and a 144-point one) from sine tables, and so is every chunk
+        # of the error-bound constants' stencil
+        from scatmap.diffusion import _region_constants
+        from scatmap.gridkernels import reduced_poincare_grid
+        with recorded_fills() as deltas:
+            sc.tau_star(p09, 1.5, 2.0)
+            sc.tau_star_full(p09, 2.0, 1.0, 0.4, MIN)
+        assert deltas == [0.0, 0.0]
+        with recorded_fills() as deltas:
+            reduced_poincare_grid(p09, [1.5], np.linspace(0.0, TWO_PI, 400, endpoint=False))
+        assert len(deltas) == 2 and min(deltas) > 0.0
+        with recorded_fills() as deltas:
+            _region_constants.__wrapped__(p09, -3.0, 3.0, 25)
+        assert len(deltas) == math.ceil(25 * 25 * 5 / sc._CHUNK) and min(deltas) > 0.0
 
     def test_theta_pi_ties(self, p15):
         # at theta = pi the admissible roots come in exactly symmetric pairs
