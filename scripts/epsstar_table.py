@@ -8,7 +8,7 @@ large-action envelope 4*pi*|a10|*I*exp(-pi*I/2).
 import argparse
 
 from scatmap import ModelParams
-from scatmap.verify import epsilon_star
+from scatmap.highways import epsilon_star
 
 
 def main():

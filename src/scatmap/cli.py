@@ -3,7 +3,8 @@
 Subcommands: regime | crests | portrait | highways | tangency | orbit |
 difftime | epsstar | verify.  Exit codes: 0 ok, 1 numeric failure, 2 bad
 configuration.  CSV output is comma-separated with 17 significant digits;
-JSON mirrors the same records.
+JSON mirrors the same records.  Each command imports the layers it uses:
+regime, crests, highways, tangency and epsstar load neither NumPy nor SciPy.
 """
 from __future__ import annotations
 
@@ -14,36 +15,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .contour import contour_polylines
-from .crests import (
-    CrestBranch,
-    Orientation,
-    classify_regime,
-    crest_orientation,
-    crest_residual,
-    eta,
-    tangency_points,
-    xi,
-)
-from .diffusion import (
-    build_pseudo_orbit_general,
-    build_pseudo_orbit_highway,
-    diffusion_time,
-)
 from .errors import ScatmapError
-from .gridkernels import reduced_poincare_grid
-from .highways import Side, trace_highway
 from .model import TWO_PI, FullState, ModelParams, melnikov_potential, pendulum_energy
-from .scattering import finite_diff_grad, grad_reduced_poincare
-from .verify import (
-    epsilon_star,
-    integrate_full,
-    measure_homoclinic_jump,
-    melnikov_quadrature_oracle,
-)
 
 DEFAULTS = {"a00": 0.0, "a10": 0.6, "a01": 1.0, "eps": 0.01}
 
@@ -149,6 +123,7 @@ def _emit(args, header: list[str], rows: list[list]):
 # ----------------------------------------------------------------- commands
 
 def cmd_regime(args, params: ModelParams) -> int:
+    from .crests import classify_regime
     rep = classify_regime(params)
     doc = {
         "mu": params.mu,
@@ -169,6 +144,8 @@ def _check_grid(n: int):
 
 
 def cmd_crests(args, params: ModelParams) -> int:
+    from .crests import CrestBranch, Orientation, crest_orientation, crest_residual, eta, xi
+    from .roots import linspace
     _check_grid(args.grid)
     I = args.I
     orientation = crest_orientation(params, I)
@@ -177,7 +154,7 @@ def cmd_crests(args, params: ModelParams) -> int:
     rows = []
     for branch, name in ((CrestBranch.MAXIMUM, "max"), (CrestBranch.MINIMUM, "min")):
         # a horizontal crest is sampled over phi, a vertical one over s
-        for t in np.linspace(0.0, TWO_PI, args.grid, endpoint=False).tolist():
+        for t in linspace(0.0, TWO_PI, args.grid, endpoint=False):
             if orientation is Orientation.HORIZONTAL:
                 phi, s = t, xi(params, branch, I, t)
             else:
@@ -188,6 +165,9 @@ def cmd_crests(args, params: ModelParams) -> int:
 
 
 def cmd_portrait(args, params: ModelParams) -> int:
+    import numpy as np
+    from .contour import contour_polylines
+    from .gridkernels import reduced_poincare_grid
     _check_grid(args.grid)
     if args.imax <= args.imin:
         raise ValueError("imax must exceed imin")
@@ -233,6 +213,7 @@ def cmd_portrait(args, params: ModelParams) -> int:
 
 
 def cmd_highways(args, params: ModelParams) -> int:
+    from .highways import Side, trace_highway
     sides = {"left": [Side.LEFT], "right": [Side.RIGHT],
              "both": [Side.LEFT, Side.RIGHT]}[args.side]
     rows = []
@@ -244,14 +225,16 @@ def cmd_highways(args, params: ModelParams) -> int:
 
 
 def cmd_tangency(args, params: ModelParams) -> int:
+    from .crests import tangency_points
+    from .roots import linspace
     rows = []
     if args.I is not None:
         scan = [args.I]
     else:
         _check_grid(args.grid)
-        scan = list(np.linspace(args.imin, args.imax, args.grid))
+        scan = linspace(args.imin, args.imax, args.grid)
     for I in scan:
-        info = tangency_points(params, float(I))
+        info = tangency_points(params, I)
         if info is not None:
             rows.append([info.I, info.psi1, info.psi2, info.theta1, info.theta2])
     _emit(args, ["I", "psi1", "psi2", "theta1", "theta2"], rows)
@@ -259,6 +242,7 @@ def cmd_tangency(args, params: ModelParams) -> int:
 
 
 def cmd_orbit(args, params: ModelParams) -> int:
+    from .diffusion import build_pseudo_orbit_general, build_pseudo_orbit_highway
     if (args.ifrom is None) != (args.ito is None):
         raise ValueError("--ifrom and --ito go together: give both or neither")
     if args.ifrom is not None:
@@ -275,6 +259,7 @@ def cmd_orbit(args, params: ModelParams) -> int:
 
 
 def cmd_difftime(args, params: ModelParams) -> int:
+    from .diffusion import diffusion_time
     if params.eps <= 0.0:
         raise ValueError("difftime requires eps > 0")
     est = diffusion_time(params, args.Istar, c=args.c, a=args.a)
@@ -283,6 +268,7 @@ def cmd_difftime(args, params: ModelParams) -> int:
 
 
 def cmd_epsstar(args, params: ModelParams) -> int:
+    from .highways import epsilon_star
     est = epsilon_star(params, args.Istar, grid=args.grid)
     doc = {"I_star": args.Istar, "eps_star": est.value,
            "envelope": est.envelope, "argmin_I": est.argmin_I}
@@ -291,6 +277,9 @@ def cmd_epsstar(args, params: ModelParams) -> int:
 
 
 def cmd_verify(args, params: ModelParams) -> int:
+    import numpy as np
+    from .scattering import finite_diff_grad, grad_reduced_poincare
+    from .verify import integrate_full, measure_homoclinic_jump, melnikov_quadrature_oracle
     checks: list[tuple[str, bool, str]] = []
 
     rng = np.random.default_rng(12345)

@@ -7,15 +7,15 @@ fast drift channels.  In the crest angle psi the level condition reads
     A10(I) cos(psi) + A01 (cos(xi(I, psi)) - 1) = 0,
 
 with exactly one root in (0, pi) (left lane) and one in (pi, 2*pi) (right
-lane) whenever the crest is horizontal.
+lane) whenever the crest is horizontal.  epsilon_star scans the envelope
+gradient along the right lane for the admissible perturbation size.  The
+module imports no NumPy: the commands that trace lanes start without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .crests import (
     Orientation,
@@ -31,8 +31,10 @@ from .model import (
     ModelParams,
     amp_A01,
     amp_A10,
+    amp_A10_deriv,
+    envelope_gradient,
 )
-from .roots import brentq
+from .roots import arange, brentq, check_samples, linspace
 
 
 class Side(Enum):
@@ -62,6 +64,13 @@ class HighwayDomain:
     effective: tuple[tuple[float, float], ...]
     I_plus: float | None
     I_plusplus: float | None
+
+
+@dataclass(frozen=True)
+class EpsilonStarEstimate:
+    value: float
+    envelope: float
+    argmin_I: float
 
 
 def level_gap(params: ModelParams, I: float, psi: float) -> float:
@@ -113,16 +122,16 @@ def trace_highway(params: ModelParams, side: Side, I_from: float, I_to: float,
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    n = max(1, int(round(abs(I_to - I_from) / step)))
-    I_values = np.linspace(I_from, I_to, n + 1)
+    steps = abs(I_to - I_from) / step
+    check_samples(steps)
     samples: list[HighwaySample] = []
     hint = None
-    for I in I_values:
+    for I in linspace(I_from, I_to, max(1, round(steps)) + 1):
         try:
-            s = _sample(params, float(I), side, hint)
+            s = _sample(params, I, side, hint)
         except NotInDomain as exc:
             raise NotInDomain(
-                f"highway lane lost at I = {float(I)!r}", partial=samples
+                f"highway lane lost at I = {I!r}", partial=samples
             ) from exc
         samples.append(s)
         hint = s.psi
@@ -160,22 +169,53 @@ def highway_domain(params: ModelParams, scan_step: float = 1e-2,
         return min(abs(psi - info.psi1), abs(psi - info.psi2)) >= proximity
 
     # scan the positive band; the domain is symmetric under I -> -I
-    band = np.arange(i_plus, i_plusplus + scan_step, scan_step)
-    ok = [lane_ok(float(I)) for I in band]
+    band = arange(i_plus, i_plusplus + scan_step, scan_step)
     extra: list[tuple[float, float]] = []
     start = None
-    for I, good in zip(band, ok):
+    for I in band:
+        good = lane_ok(I)
         if good and start is None:
-            start = float(I)
+            start = I
         elif not good and start is not None:
-            extra.append((start, float(I)))
+            extra.append((start, I))
             start = None
     if start is not None:
-        extra.append((start, float(band[-1])))
+        extra.append((start, band[-1]))
 
     effective = [*guaranteed, *extra, *((-hi, -lo) for lo, hi in extra)]
     return HighwayDomain(guaranteed=guaranteed, effective=tuple(sorted(effective)),
                          I_plus=i_plus, I_plusplus=i_plusplus)
+
+
+def _lane_gradient(params: ModelParams, I: float) -> tuple[float, float]:
+    """The reduced function's gradient at the right lane's crossing at action
+    I (tau = -xi at psi_h(I)): model.envelope_gradient on math floats."""
+    psi = highway_psi(params, I, Side.RIGHT)
+    return envelope_gradient(amp_A10(params, I), amp_A10_deriv(params, I),
+                             -xi_max_raw(params, I, psi), math.sin(psi), math.cos(psi))
+
+
+def epsilon_star(params: ModelParams, I_star: float,
+                 grid: int = 801) -> EpsilonStarEstimate:
+    """Largest perturbation for which the gradient dominates along the lane.
+
+    Minimizes the gradient norm over lane samples with |I| <= I_star (the
+    function is even in I, so only [0, I_star] is scanned) and reports the
+    large-action envelope 4*pi*|a10|*I_star*exp(-pi*I_star/2) next to it.
+    The gradient at each sample is _lane_gradient's.
+    """
+    if I_star <= 0.0:
+        raise ValueError("I_star must be positive")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+    if crest_orientation(params, I_star) is not Orientation.HORIZONTAL:
+        raise NotInDomain(f"lane undefined at I = {I_star!r}")
+    Is = linspace(0.0, I_star, grid)
+    vals = [math.hypot(*_lane_gradient(params, I)) for I in Is]
+    # np.argmin's pick: the first NaN, else the first minimum
+    k = min(range(grid), key=lambda j: (vals[j] == vals[j], vals[j]))
+    envelope = 4.0 * math.pi * abs(params.a10) * I_star * math.exp(-math.pi * I_star / 2.0)
+    return EpsilonStarEstimate(value=vals[k], envelope=envelope, argmin_I=Is[k])
 
 
 def in_intervals(x: float, intervals: tuple[tuple[float, float], ...],

@@ -137,6 +137,18 @@ def amp_A10_deriv(params: ModelParams, I: float) -> float:
     return TWO_PI * params.a10 * (sh - I * (math.pi / 2.0) * ch) / sh**2
 
 
+def envelope_gradient(a10, a10_deriv, tau, sin_psi, cos_psi):
+    """(d/dI, d/dtheta) of the reduced function at a crest crossing with
+    segment time tau and crest angle psi, from A10(I), A10'(I), sin(psi) and
+    cos(psi) there: floats or arrays, with the same operations on both.
+
+    The crossing condition kills every d tau/d(I, theta) term, leaving
+      d/dtheta = -A10(I) sin(psi),
+      d/dI     =  A10'(I) cos(psi) + tau * A10(I) * sin(psi).
+    """
+    return a10_deriv * cos_psi + tau * a10 * sin_psi, -a10 * sin_psi
+
+
 def melnikov_potential(params: ModelParams, I: float, phi: float, s: float) -> float:
     """Closed-form splitting potential A00 + A10(I) cos(phi) + A01 cos(s)."""
     return (amp_A00(params) + amp_A10(params, I) * math.cos(phi)

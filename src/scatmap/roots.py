@@ -1,4 +1,5 @@
-"""Root and maximum search, giving SciPy's floats without importing it.
+"""Root search, maximum search and sample grids, giving SciPy's and NumPy's
+floats without importing either.
 
 brentq is the loop of SciPy's C brentq (Brent's method with inverse
 quadratic extrapolation), operation for operation, at SciPy's defaults
@@ -9,19 +10,24 @@ checks them against SciPy), and raise its exception types and messages, so
 every root in the library is the one SciPy would give.  Importing
 scipy.optimize takes longer than most CLI calls spend on everything else.
 
-brentq_many runs brentq over arrays of brackets in lockstep: Brent's method
-(Algorithms for Minimization without Derivatives, 1973, ch. 4) is a fixed
-sequence of IEEE operations, so each lane gives brentq's float.
+linspace and arange give np.linspace's and np.arange's floats as lists,
+so the commands that only sample a range start without NumPy, whose import
+takes most of such a call; check_samples bounds every sample count first.
+The lockstep Brent over arrays is scattering.brentq_many.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
 _RTOL = 4 * 2.220446049250313e-16   # 4 * machine epsilon, SciPy's floor
 _MAXITER = 100
 _GOLDEN_R = 0.61803399              # SciPy's golden ratio conjugate
 _GOLDEN_C = 1.0 - _GOLDEN_R
 _GOLDEN_MAXITER = 5000
+# most samples one range may hold: a million floats take some 30 MB as a
+# list, and a command tens of seconds to evaluate; a count above it is a
+# configuration error
+MAX_SAMPLES = 10**6
 
 
 def _nan_error(x: float) -> ValueError:
@@ -92,70 +98,6 @@ def brentq(f, a: float, b: float, args: tuple = (), xtol: float = 2e-12) -> floa
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
-def brentq_many(f, a, b, args: tuple = (), xtol: float = 2e-12) -> np.ndarray:
-    """brentq on each bracket [a[k], b[k]] at once; f(x, *args) works on arrays.
-
-    Each lane does brentq's float operations in brentq's order: np.where
-    picks the lane's branch.  Every lane runs to the end, and its root is
-    recorded when it finishes; a finished lane's later values are never read.
-    So root k is brentq's float for lane k wherever the array form of f
-    gives the scalar form's floats.  Raises as brentq does when a lane would.
-    """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
-    fpre, fcur = _no_nan(f(xpre, *args), xpre), _no_nan(f(xcur, *args), xcur)
-    root = np.where(fpre == 0.0, xpre, xcur)
-    live = (fpre != 0.0) & (fcur != 0.0)
-    if (live & ((fpre < 0.0) == (fcur < 0.0))).any():
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = np.zeros(live.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAXITER):
-            new = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
-            width = xcur - xpre
-            xblk, fblk, spre, scur = [np.where(new, x, y) for x, y in zip(
-                (xpre, fpre, width, width), (xblk, fblk, spre, scur))]
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk, fpre, fcur, fblk = [np.where(swap, x, y) for x, y in zip(
-                (xcur, xblk, xcur, fcur, fblk, fcur), (xpre, xcur, xblk, fpre, fcur, fblk))]
-
-            delta = (xtol + _RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = live & ((fcur == 0.0) | (np.abs(sbis) < delta))
-            root[done] = xcur[done]
-            live &= ~done
-            if not live.any():
-                return root
-
-            # brentq's trial step; lanes that do not try it drop its 0/0
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                xpre == xblk,   # interpolate, else extrapolate
-                -fcur * (xcur - xpre) / (fcur - fpre),
-                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
-            step = 2 * np.abs(stry)
-            abs_spre = np.abs(spre)
-            good = ((abs_spre > delta) & (np.abs(fcur) < np.abs(fpre))
-                    & (step < abs_spre) & (step < 3 * np.abs(sbis) - delta))
-            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                                   np.where(sbis > 0, delta, -delta))
-            fcur = _no_nan(f(xcur, *args), xcur, live)
-    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
-
-
-def _no_nan(fx: np.ndarray, x: np.ndarray, live=True) -> np.ndarray:
-    """fx, unless a live lane is NaN: then brentq's error for the first such x."""
-    nan = np.isnan(fx) & live
-    if nan.any():
-        raise _nan_error(float(x[np.argmax(nan)]))
-    return fx
-
-
 def golden_max(f, xa: float, xb: float, xc: float, xtol: float) -> float:
     """Argmax of f by golden-section search inside the bracket (xa, xb, xc).
 
@@ -188,3 +130,36 @@ def golden_max(f, xa: float, xb: float, xc: float, xtol: float) -> float:
             x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
             f2, f1 = f1, f(x1)
     return x1 if f1 > f2 else x2
+
+
+def check_samples(n: float) -> None:
+    """Raise ValueError unless the sample count n is at most MAX_SAMPLES
+    (so NaN and inf are refused too)."""
+    if not n <= MAX_SAMPLES:
+        raise ValueError(f"sample count {n!r}: must be finite and at most {MAX_SAMPLES}")
+
+
+def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list[float]:
+    """np.linspace(start, stop, num, endpoint=endpoint), float for float, for
+    num >= 2: i*step + start with step = (stop - start)/div, div = num - 1
+    (num without endpoint); where step underflows to 0, NumPy's subnormal
+    branch (i/div)*(stop - start) + start; and stop last with endpoint."""
+    check_samples(num)
+    div = num - 1 if endpoint else num
+    delta = stop - start
+    step = delta / div
+    y = ([i / div * delta + start for i in range(num)] if step == 0.0
+         else [i * step + start for i in range(num)])
+    if endpoint:
+        y[-1] = stop
+    return y
+
+
+def arange(start: float, stop: float, step: float) -> list[float]:
+    """np.arange(start, stop, step) for floats, float for float: its
+    ceil((stop - start)/step) values are start, start + step, and then
+    start + i*d with d = (start + step) - start."""
+    count = (stop - start) / step
+    check_samples(count)
+    n, d = math.ceil(count), (start + step) - start
+    return [start, start + step, *(start + i * d for i in range(2, n))][:max(0, n)]

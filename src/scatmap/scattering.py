@@ -51,10 +51,11 @@ from .model import (
     amp_A10,
     amp_A10_deriv,
     crest_coefficient,
+    envelope_gradient,
     melnikov_potential,
     wrap_angle,
 )
-from .roots import brentq, brentq_many
+from .roots import _MAXITER, _RTOL, _nan_error, brentq
 
 # sigma sampling step for the crossing scan (half-window pi is split in 200)
 _SCAN_STEP = math.pi / 200.0
@@ -64,7 +65,7 @@ _CHUNK = 256
 # points whose brackets the kernel refines in one call: a 400 x 400 grid's
 # refinement takes 0.30 s in 1,024-point calls, 0.67 s in 256-point ones
 _BLOCK = 4 * _CHUNK
-# brackets from which roots.brentq_many beats a roots.brentq loop: at 1-64 it
+# brackets from which brentq_many beats a roots.brentq loop: at 1-64 it
 # costs 270-740 us against 6-530 us for the loop (2-core x86-64 VM, NumPy 2.4)
 _LOCKSTEP_MIN = 64
 # points per action from which _fill uses sine tables: at 16 as fast as sines,
@@ -192,6 +193,72 @@ def _fill(v, xs, a, I, phi, s) -> tuple[np.ndarray, float]:
     return np.arange(len(I)), 0.0
 
 
+def brentq_many(f, a, b, args: tuple = (), xtol: float = 2e-12) -> np.ndarray:
+    """roots.brentq on each bracket [a[k], b[k]] at once; f(x, *args) works
+    on arrays.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) is a fixed sequence of IEEE operations: each lane does brentq's
+    in brentq's order, and np.where picks the lane's branch.  Every lane runs to the end, and its root is
+    recorded when it finishes; a finished lane's later values are never read.
+    So root k is brentq's float for lane k wherever the array form of f
+    gives the scalar form's floats.  Raises as brentq does when a lane would.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    fpre, fcur = _no_nan(f(xpre, *args), xpre), _no_nan(f(xcur, *args), xcur)
+    root = np.where(fpre == 0.0, xpre, xcur)
+    live = (fpre != 0.0) & (fcur != 0.0)
+    if (live & ((fpre < 0.0) == (fcur < 0.0))).any():
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = np.zeros(live.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAXITER):
+            new = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+            width = xcur - xpre
+            xblk, fblk, spre, scur = [np.where(new, x, y) for x, y in zip(
+                (xpre, fpre, width, width), (xblk, fblk, spre, scur))]
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk, fpre, fcur, fblk = [np.where(swap, x, y) for x, y in zip(
+                (xcur, xblk, xcur, fcur, fblk, fcur), (xpre, xcur, xblk, fpre, fcur, fblk))]
+
+            delta = (xtol + _RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = live & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            root[done] = xcur[done]
+            live &= ~done
+            if not live.any():
+                return root
+
+            # brentq's trial step; lanes that do not try it drop its 0/0
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,   # interpolate, else extrapolate
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            step = 2 * np.abs(stry)
+            abs_spre = np.abs(spre)
+            good = ((abs_spre > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (step < abs_spre) & (step < 3 * np.abs(sbis) - delta))
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                                   np.where(sbis > 0, delta, -delta))
+            fcur = _no_nan(f(xcur, *args), xcur, live)
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+
+
+def _no_nan(fx: np.ndarray, x: np.ndarray, live=True) -> np.ndarray:
+    """fx, unless a live lane is NaN: then brentq's error for the first such x."""
+    nan = np.isnan(fx) & live
+    if nan.any():
+        raise _nan_error(float(x[np.argmax(nan)]))
+    return fx
+
+
 def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray]:
     """(point, sigma) of every crossing of the segments through (I[k], phi[k],
     s[k]) with the crest, a[k] being the crest coefficient: the sigmas in the
@@ -204,7 +271,7 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
     only those floats find the exact scan's zeros, brackets and grazing pairs
     (local |c| minimum below 2e-3 without sign change, rescanned finely to
     keep near-tangency double roots).  A _BLOCK's brackets are refined at
-    once, by roots.brentq_many, or by a roots.brentq loop below _LOCKSTEP_MIN
+    once, by brentq_many, or by a roots.brentq loop below _LOCKSTEP_MIN
     brackets (same floats).  Roots with |c| > 1e-12 are dropped, and a root
     within 1e-10 of its point's last kept root is merged into it.
 
@@ -419,19 +486,13 @@ def reduced_poincare_psi(params: ModelParams, I: float, psi: float,
 
 
 def _grad_at_crossing(params: ModelParams, I, tau, psi):
-    """(d/dI, d/dtheta) of the reduced function from the envelope identity,
-    at crossings with segment time tau and crest angle psi (scalars or
-    arrays).
-
-    The crossing condition kills every d tau/d(I, theta) term, leaving
-      d/dtheta = -A10(I) sin(psi),
-      d/dI     =  A10'(I) cos(psi) + tau * A10(I) * sin(psi).
+    """(d/dI, d/dtheta) of the reduced function, model.envelope_gradient, at
+    crossings with segment time tau and crest angle psi (scalars or arrays).
     The identity is exact; tests and `scatmap verify` check it against
     finite_diff_grad in every regime.
     """
     a10, a10_deriv = _per_action(params, I, amp_A10, amp_A10_deriv)
-    sin_psi = np.sin(psi)
-    return a10_deriv * np.cos(psi) + tau * a10 * sin_psi, -a10 * sin_psi
+    return envelope_gradient(a10, a10_deriv, tau, np.sin(psi), np.cos(psi))
 
 
 def finite_diff_grad(params: ModelParams, I: float, theta: float,

@@ -3,10 +3,9 @@
 The oracles recompute a quantity the rest of the library obtains in closed
 form, by a route that shares no code with it: direct quadrature for the
 splitting potential, and full 5D integration (of model.full_vector_field)
-for the action jump across one homoclinic excursion.  epsilon_star scans
-the envelope gradient along a highway for the admissible perturbation
-size.  SciPy's integrators are imported inside the functions that use
-them, so importing this module does not load SciPy.
+for the action jump across one homoclinic excursion.  SciPy's integrators
+are imported inside the functions that use them, so importing this module
+does not load SciPy.
 """
 from __future__ import annotations
 
@@ -15,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInDomain, ScatmapError
-from .highways import Side, highway_psi
+from .errors import ScatmapError
 from .model import (
     FullState,
     ModelParams,
@@ -25,7 +23,6 @@ from .model import (
     perturbation_g,
     separatrix,
 )
-from .crests import Orientation, crest_orientation, xi_max_raw
 from .scattering import CrestBranch, _grad_at_crossing, _window_s, tau_star_full
 
 
@@ -34,13 +31,6 @@ class Trajectory:
     times: np.ndarray
     states: list[FullState]
     tolerances: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class EpsilonStarEstimate:
-    value: float
-    envelope: float
-    argmin_I: float
 
 
 def melnikov_quadrature_oracle(params: ModelParams, I: float, phi: float,
@@ -133,29 +123,3 @@ def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
     Gf = inner_first_integral(params, yf[2], yf[3])
     return (Gf - G0) / I, predicted
 
-
-def epsilon_star(params: ModelParams, I_star: float,
-                 grid: int = 801) -> EpsilonStarEstimate:
-    """Largest perturbation for which the gradient dominates along the lane.
-
-    Minimizes the gradient norm over lane samples with |I| <= I_star (the
-    function is even in I, so only [0, I_star] is scanned) and reports the
-    large-action envelope 4*pi*|a10|*I_star*exp(-pi*I_star/2) next to it.
-    Each sample's crossing is the right lane's (tau = -xi at psi_h(I)); the
-    gradient at all of them is one _grad_at_crossing call.
-    """
-    if I_star <= 0.0:
-        raise ValueError("I_star must be positive")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    if crest_orientation(params, I_star) is not Orientation.HORIZONTAL:
-        raise NotInDomain(f"lane undefined at I = {I_star!r}")
-    Is = np.linspace(0.0, I_star, grid)
-    psi = np.array([highway_psi(params, I, Side.RIGHT) for I in Is.tolist()])
-    tau = -np.array([xi_max_raw(params, I, p) for I, p in zip(Is.tolist(), psi.tolist())])
-    d_i, d_theta = _grad_at_crossing(params, Is, tau, psi)
-    vals = [math.hypot(gi, gt) for gi, gt in zip(d_i.tolist(), d_theta.tolist())]
-    k = int(np.argmin(vals))
-    envelope = 4.0 * math.pi * abs(params.a10) * I_star * math.exp(-math.pi * I_star / 2.0)
-    return EpsilonStarEstimate(value=float(vals[k]), envelope=envelope,
-                               argmin_I=float(Is[k]))

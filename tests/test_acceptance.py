@@ -16,7 +16,7 @@ import scatmap.diffusion as df
 import scatmap.verify as vf
 from scatmap import ModelParams
 from scatmap.crests import Regime, alpha_max, beta_max, classify_regime, critical_actions
-from scatmap.highways import Side, trace_highway
+from scatmap.highways import Side, epsilon_star, trace_highway
 from scatmap.model import TWO_PI, melnikov_potential
 from scatmap.scattering import (
     finite_diff_grad,
@@ -82,7 +82,7 @@ def test_criterion_04_eps_star_table():
     rows = []
     ok = True
     for i_star, target in table.items():
-        est = vf.epsilon_star(p, i_star, grid=1601)
+        est = epsilon_star(p, i_star, grid=1601)
         rel = (est.value - target) / target
         rows.append(f"I*={i_star:g}: {est.value:.4f} vs {target} ({rel:+.1%})")
         ok &= abs(rel) <= 0.20

@@ -309,6 +309,23 @@ class TestNonFiniteParams:
         assert f"configuration error: {field} must be finite" in err
 
 
+class TestSampleCounts:
+    # a count above roots.MAX_SAMPLES = 10**6 (or not finite) fails before
+    # any sample is made; counts just over it keep a regression from
+    # exhausting memory
+    @pytest.mark.parametrize("argv", [
+        ["highways", "--step", "5e-324"],
+        ["highways", "--imin", "0", "--imax", "1", "--step", "9.99999e-7"],
+        ["tangency", "--grid", "1000001"],
+        ["epsstar", "--grid", "1000001"],
+        ["crests", "--grid", "1000001"],
+    ])
+    def test_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "configuration error: sample count" in err
+
+
 class TestFormatFlag:
     @pytest.mark.parametrize("command", ["regime", "difftime", "epsstar", "verify"])
     def test_only_table_commands_take_it(self, capsys, command):
@@ -362,8 +379,9 @@ class TestDeterminism:
 
 
 class TestColdStart:
-    """SciPy is needed only for quadrature and integration (difftime, verify);
-    the other commands, and importing the package, must not load it."""
+    """SciPy is needed only for quadrature and integration (difftime, verify),
+    NumPy only for arrays (portrait, orbit, difftime, verify): the other
+    commands, and importing the package, must load neither."""
 
     COMMANDS = [
         ["regime", "--mu", "0.9"],
@@ -377,38 +395,105 @@ class TestColdStart:
         ["orbit", "--mu", "0.9", "--eps", "0.05", "--Istar", "2"],
         ["epsstar", "--mu", "0.9", "--Istar", "4", "--grid", "41"],
     ]
+    # the README calls of regime, crests, highways, tangency and epsstar,
+    # variants of them, and --version
+    LIGHT = [
+        ["regime", "--mu", "0.9"],
+        ["regime", "--mu", "1.5"],
+        ["crests", "--mu", "0.6", "--I", "1.2", "--grid", "400"],
+        ["crests", "--mu", "1.2", "--I", "1", "--grid", "8", "--format", "json"],
+        ["highways", "--mu", "0.6", "--imin", "-4", "--imax", "4"],
+        ["tangency", "--mu", "0.9", "--imin", "1.1", "--imax", "3.0"],
+        ["tangency", "--mu", "0.9", "--I", "1.5", "--format", "json"],
+        ["epsstar", "--mu", "0.9", "--Istar", "4"],
+        ["--version"],
+    ]
+    # and their numeric failures (exit code 1)
+    LIGHT_FAILING = [
+        ["highways", "--mu", "1.5", "--imin", "0", "--imax", "2", "--step", "0.1"],
+        ["epsstar", "--mu", "1.5", "--Istar", "1"],
+    ]
+    # every name `from scatmap import ...` gave before the exports were lazy
+    EXPORTS = [
+        "BranchUnavailable", "DomainError", "NoCrossing", "NotInDomain", "ScatmapError",
+        "SingularCrest", "TangencyPoint", "FullState", "ModelParams", "alpha", "beta",
+        "full_vector_field", "inner_first_integral", "melnikov_potential", "separatrix",
+        "CrestBranch", "Orientation", "Regime", "RegimeReport", "TangencyInfo",
+        "classify_regime", "crest_orientation", "critical_actions", "eta",
+        "tangency_points", "xi", "Branch", "BranchSet", "ReducedPoint", "TauStar",
+        "flow_reduced_hamiltonian", "grad_reduced_poincare", "reduced_poincare",
+        "reduced_poincare_psi", "scattering_branches", "scattering_step",
+        "symmetry_check_mu", "tau_star", "HighwayDomain", "HighwaySample", "Side",
+        "highway_domain", "highway_psi", "trace_highway", "DiffusionTimeEstimate",
+        "Mechanism", "OrbitLeg", "PseudoOrbit", "build_pseudo_orbit_general",
+        "build_pseudo_orbit_highway", "diffusion_time", "inner_ergodization_time",
+        "propagated_error_bound", "time_Th", "time_Ts", "EpsilonStarEstimate",
+        "Trajectory", "epsilon_star", "integrate_full", "measure_homoclinic_jump",
+        "melnikov_quadrature_oracle", "__version__",
+    ]
 
     @staticmethod
-    def scipy_modules_after(code: str) -> list[str]:
-        """The scipy modules loaded once code has run in a fresh interpreter."""
+    def modules_after(code: str, packages=("scipy",)) -> list[str]:
+        """The modules of the packages loaded once code has run in a fresh
+        interpreter."""
         src = os.path.dirname(os.path.dirname(scatmap.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        code += ("\nimport json\nprint('SCIPY', json.dumps(sorted("
-                 "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+        code += ("\nimport json\nprint('LOADED', json.dumps(sorted("
+                 f"m for m in sys.modules if m.split('.')[0] in {tuple(packages)!r})))")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         last = proc.stdout.strip().splitlines()[-1]
-        assert last.startswith("SCIPY ")
-        return json.loads(last[len("SCIPY "):])
+        assert last.startswith("LOADED ")
+        return json.loads(last[len("LOADED "):])
+
+    @staticmethod
+    def calls(commands, expect: int = 0) -> str:
+        """Code running each command through main, the output discarded, and
+        requiring exit code expect (--version exits through argparse)."""
+        return ("import contextlib, io, sys\n"
+                "from scatmap.cli import main\n"
+                f"for argv in {commands!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        try:\n"
+                "            code = main(argv)\n"
+                "        except SystemExit as exc:\n"
+                "            code = exc.code\n"
+                f"    assert code == {expect}, argv\n")
 
     def test_commands_never_import_scipy(self):
-        code = ("import contextlib, io, sys\n"
-                "from scatmap.cli import main\n"
-                f"for argv in {self.COMMANDS!r}:\n"
-                "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                "        assert main(argv) == 0, argv\n")
-        assert self.scipy_modules_after(code) == []
+        assert self.modules_after(self.calls(self.COMMANDS)) == []
 
     def test_package_import_is_scipy_free(self):
-        assert self.scipy_modules_after("import sys, scatmap") == []
+        assert self.modules_after("import sys, scatmap") == []
+
+    def test_light_commands_load_neither_numpy_nor_scipy(self):
+        for code in (self.calls(self.LIGHT), self.calls(self.LIGHT_FAILING, expect=1)):
+            assert self.modules_after(code, ("numpy", "scipy")) == []
+        assert self.modules_after("import sys, scatmap", ("numpy", "scipy")) == []
+
+    def test_every_export_resolves(self):
+        # in a fresh interpreter, as the benchmark harness imports them
+        code = ("import sys\n"
+                f"for name in {self.EXPORTS!r}:\n"
+                "    exec(f'from scatmap import {name}')\n"
+                "from scatmap import gridkernels, contour, ModelParams\n"
+                "from scatmap import diffusion, ModelParams\n"
+                "from scatmap import *\n"
+                "import scatmap\n"
+                f"assert set({self.EXPORTS!r}) <= set(scatmap.__all__) <= set(dir(scatmap))\n")
+        self.modules_after(code)   # asserts that code ran without error
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            scatmap.no_such_name
 
     def test_guard_sees_scipy(self):
         # the probe itself must notice SciPy where a command does load it
-        code = ("import contextlib, io, sys\n"
-                "from scatmap.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                "    main(['difftime', '--mu', '0.6', '--eps', '0.01', '--Istar', '1'])\n")
-        assert "scipy.integrate" in self.scipy_modules_after(code)
+        code = self.calls([["difftime", "--mu", "0.6", "--eps", "0.01", "--Istar", "1"]])
+        assert "scipy.integrate" in self.modules_after(code)
+
+    def test_guard_sees_numpy(self):
+        # and NumPy where a command makes arrays
+        code = self.calls([["portrait", "--mu", "0.9", "--grid", "8"]])
+        assert "numpy" in self.modules_after(code, ("numpy", "scipy"))

@@ -121,7 +121,7 @@ class TestShapeAgreement:
         from scatmap.errors import NotInDomain
         from scatmap.highways import highway_psi
         from scatmap.scattering import _OK, _SINGULAR, _primary, scattering_branches
-        from scatmap.verify import epsilon_star
+        from scatmap.highways import epsilon_star
 
         p = _params_at(I, c)
         shape = cr.crest_orientation(p, I)

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 import scatmap.highways as hw
+import scatmap.scattering as sc
 from scatmap import ModelParams
-from scatmap.crests import theta_of_psi
+from scatmap.crests import Orientation, crest_orientation, theta_of_psi, xi_max_raw
 from scatmap.errors import NotInDomain
 from scatmap.scattering import grad_reduced_poincare
 from scatmap.model import wrap_angle
@@ -91,3 +93,43 @@ class TestDomain:
         dom = hw.highway_domain(p09)
         for lo, hi in dom.effective:
             assert hw.in_intervals(-lo, dom.effective) or not math.isfinite(lo)
+
+
+class TestEpsilonStarGradient:
+    """epsilon_star takes the gradient on math floats, the crossing kernel's
+    callers on arrays: both through model.envelope_gradient, to the float."""
+
+    @pytest.mark.parametrize("mu", [0.6, 0.9, 1.5])   # single map, tangency, holes
+    def test_scalar_path_equals_array_path(self, mu):
+        p = ModelParams(0.0, mu, 1.0, eps=0.01)
+        Is = [I for I in np.linspace(-4.0, 4.0, 401).tolist()
+              if crest_orientation(p, I) is Orientation.HORIZONTAL]
+        assert len(Is) >= 100
+        psi = np.array([hw.highway_psi(p, I, hw.Side.RIGHT) for I in Is])
+        tau = -np.array([xi_max_raw(p, I, q) for I, q in zip(Is, psi.tolist())])
+        d_i, d_theta = sc._grad_at_crossing(p, np.array(Is), tau, psi)
+        assert [hw._lane_gradient(p, I) for I in Is] == list(zip(d_i.tolist(), d_theta.tolist()))
+
+    @pytest.mark.parametrize("mu,I_star,grid", [(0.6, 3.0, 401), (0.9, 4.0, 801),
+                                                (-0.9, 2.5, 333)])
+    def test_equals_array_recipe(self, mu, I_star, grid):
+        # the array recipe epsilon_star used: np.linspace samples, one
+        # _grad_at_crossing call, np.argmin
+        p = ModelParams(0.0, mu, 1.0, eps=0.01)
+        Is = np.linspace(0.0, I_star, grid)
+        psi = np.array([hw.highway_psi(p, I, hw.Side.RIGHT) for I in Is.tolist()])
+        tau = -np.array([xi_max_raw(p, I, q) for I, q in zip(Is.tolist(), psi.tolist())])
+        d_i, d_theta = sc._grad_at_crossing(p, Is, tau, psi)
+        vals = [math.hypot(gi, gt) for gi, gt in zip(d_i.tolist(), d_theta.tolist())]
+        k = int(np.argmin(vals))
+        est = hw.epsilon_star(p, I_star, grid=grid)
+        assert (est.value, est.argmin_I) == (vals[k], Is[k])
+
+    @pytest.mark.parametrize("vals", [[3.0, 1.0, 2.0, 1.0], [3.0, math.nan, 1.0, math.nan],
+                                      [math.nan, 0.0], [2.0, 2.0, 2.0]])
+    def test_pick_is_numpy_argmin(self, monkeypatch, p09, vals):
+        # the first minimum, or the first NaN where there is one
+        norms = iter(vals)
+        monkeypatch.setattr(hw, "_lane_gradient", lambda params, I: (next(norms), 0.0))
+        est = hw.epsilon_star(p09, 4.0, grid=len(vals))
+        assert est.argmin_I == np.linspace(0.0, 4.0, len(vals))[int(np.argmin(vals))]

@@ -8,9 +8,11 @@ function or class of src/scatmap whose name starts with one underscore must
 be named (read, imported or taken as an attribute) somewhere in src/scatmap:
 the tests alone do not keep it alive.  No module of src/scatmap but cli.py
 reads the process environment (os.environ, os.getenv): sizes such as the
-crossing kernel's blocks are constants, not hidden knobs.  model.py and
-crests.py import no NumPy: their closed forms stay scalar, and the array
-code that evaluates them lives in scattering.py.  errors.py keeps a class
+crossing kernel's blocks are constants, not hidden knobs.  model.py,
+crests.py, roots.py and highways.py import no NumPy, not even inside a
+function: their closed forms, root searches and lanes stay scalar, the array
+code that evaluates them lives in scattering.py, and the commands built on
+them start without NumPy.  errors.py keeps a class
 only for a distinction some caller makes: no except clause of src/scatmap
 names two or more of its classes, and each is raised (called) somewhere in
 src/scatmap outside errors.py.
@@ -130,7 +132,7 @@ def test_scanner_sees_a_numpy_import():
     assert numpy_imports(source) == ["numpy", "numpy.linalg"]
 
 
-@pytest.mark.parametrize("name", ["model.py", "crests.py"])
+@pytest.mark.parametrize("name", ["model.py", "crests.py", "roots.py", "highways.py"])
 def test_scalar_modules_import_no_numpy(name):
     assert numpy_imports((ROOT / "src/scatmap" / name).read_text(encoding="utf-8")) == []
 

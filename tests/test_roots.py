@@ -1,5 +1,6 @@
-"""roots.brentq and roots.golden_max against SciPy, float for float, and
-roots.brentq_many against roots.brentq.
+"""roots.brentq and roots.golden_max against SciPy, float for float,
+scattering.brentq_many against roots.brentq, and roots.linspace and
+roots.arange against NumPy.
 
 Every bracket the library solves is drawn here: crest crossings in all three
 regimes (both crests, s != 0), highway lanes, the critical-action scans and
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import optimize
 
 import scatmap.scattering as sc
@@ -24,7 +25,8 @@ from scatmap.crests import (
 )
 from scatmap.highways import level_gap
 from scatmap.model import TWO_PI, alpha, beta, crest_coefficient
-from scatmap.roots import brentq, brentq_many, golden_max
+from scatmap.roots import MAX_SAMPLES, arange, brentq, check_samples, golden_max, linspace
+from scatmap.scattering import brentq_many
 
 MUS = (0.6, 0.9, 1.5)   # single map, tangency, holes
 
@@ -227,3 +229,60 @@ def test_golden_max_matches_minimize_scalar(centre, width, where, xtol):
                                    method="golden", options={"xtol": xtol})
     assert golden_max(g, xa, xb, xc, xtol) == float(res.x)
     assert golden_max(g, xc, xb, xa, xtol) == float(res.x)
+
+
+def bits(values) -> list[str]:
+    """Floats as hex: stricter than == (the sign of zero counts), and NaN
+    matches NaN."""
+    return [float(v).hex() for v in values]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_subnormal = st.integers(-2**20, 2**20).map(lambda k: k * 5e-324)
+
+
+@given(st.one_of(
+           st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),   # either sign
+           st.tuples(_finite, _finite),              # large magnitudes; the span may overflow
+           _finite.map(lambda a: (a, a)),            # zero span
+           st.tuples(_subnormal, _subnormal)),       # subnormal span: NumPy's step == 0 branch
+       st.integers(2, 3000), st.booleans())
+@example((0.0, 1.5e-323), 10, True)
+@example((-5e-324, 5e-324), 7, False)
+@example((-0.0, -0.0), 3, True)
+@example((-1.7e308, 1.7e308), 5, True)
+@settings(max_examples=400, deadline=None)
+def test_linspace_equals_numpy(ends, num, endpoint):
+    start, stop = ends
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linspace(start, stop, num, endpoint=endpoint)
+    assert bits(linspace(start, stop, num, endpoint)) == bits(expected)
+
+
+@given(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+       st.one_of(st.floats(1e-2, 10.0), st.floats(-10.0, -1e-2), st.just(1e-2)))
+@example(0.9, 0.9 + 1e-2 * 37, 1e-2)    # stop on a multiple of the step
+@example(1.0, 1.0, 0.5)                  # empty
+@settings(max_examples=300, deadline=None)
+def test_arange_equals_numpy(start, stop, step):
+    assert bits(arange(start, stop, step)) == bits(np.arange(start, stop, step))
+
+
+@pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 1e300, math.inf, math.nan])
+def test_sample_count_bound(n):
+    check_samples(MAX_SAMPLES)
+    with pytest.raises(ValueError, match="sample count"):
+        check_samples(n)
+
+
+# counts just over the bound: were the check gone, these would build a
+# million floats or fail at math.ceil(inf), never exhaust memory
+@pytest.mark.parametrize("make", [
+    lambda: linspace(0.0, 1.0, MAX_SAMPLES + 1),
+    lambda: linspace(0.0, 1.0, MAX_SAMPLES + 1, endpoint=False),
+    lambda: arange(0.0, 1.0, 5e-324),
+    lambda: arange(0.0, MAX_SAMPLES + 0.5, 1.0),
+])
+def test_ranges_refuse_a_count_before_sampling(make):
+    with pytest.raises(ValueError, match="sample count"):
+        make()

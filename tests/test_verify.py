@@ -6,6 +6,7 @@ import pytest
 import scatmap.verify as vf
 from scatmap import ModelParams
 from scatmap.errors import NotInDomain
+from scatmap.highways import epsilon_star
 from scatmap.model import FullState, TWO_PI, melnikov_potential, pendulum_energy, separatrix
 
 P0 = ModelParams(0.0, 0.6, 1.0, eps=0.0)
@@ -102,16 +103,16 @@ class TestHomoclinicJump:
 
 class TestEpsilonStar:
     def test_envelope_inequality_large_action(self, p09):
-        est = vf.epsilon_star(p09, 4.0, grid=401)
+        est = epsilon_star(p09, 4.0, grid=401)
         assert est.value < est.envelope
 
     def test_monotone_beyond_two(self, p09):
-        vals = [vf.epsilon_star(p09, x, grid=401).value for x in (2.0, 2.5, 3.0, 4.0)]
+        vals = [epsilon_star(p09, x, grid=401).value for x in (2.0, 2.5, 3.0, 4.0)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_not_in_domain_when_vertical(self, p15):
         with pytest.raises(NotInDomain):
-            vf.epsilon_star(p15, 1.0)
+            epsilon_star(p15, 1.0)
 
     def test_gradient_zeros_only_at_special_points(self, p06):
         # the reduced-function gradient vanishes only near (I, theta) in
