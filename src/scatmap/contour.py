@@ -91,13 +91,13 @@ def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     return [(tuple(a), tuple(b)) for a, b in ends]
 
 
-def join_segments(segs, decimals: int = 9) -> list[list[tuple[float, float]]]:
+def join_segments(segs) -> list[list[tuple[float, float]]]:
     """Chain segments into polylines by matching rounded endpoints.
 
-    Endpoint keys are rounded with ``np.round``, so float and np.float64
-    points give the same chaining.
+    Endpoint keys are rounded to 9 decimals with ``np.round``, so float and
+    np.float64 points give the same chaining.
     """
-    keys = np.round(np.asarray(segs, dtype=np.float64), decimals).reshape(-1, 4).tolist()
+    keys = np.round(np.asarray(segs, dtype=np.float64), 9).reshape(-1, 4).tolist()
     seen: set[frozenset] = set()
     unique = []
     for (a, b), (ax, ay, bx, by) in zip(segs, keys):

@@ -52,6 +52,7 @@ _FROZEN_ACTION = 1e-3
 _STALL_FRACTION = 1e-3
 
 ALPHA_PRIME_BOUND = 1.465  # rounded bound on |alpha'|; enters the C constant
+_K2 = 1.0  # placeholder for the map's unknown second-order remainder constant
 
 
 class Mechanism(Enum):
@@ -184,15 +185,15 @@ def _region_constants(params: ModelParams, I_lo: float, I_hi: float,
 
 
 def propagated_error_bound(params: ModelParams, n: int, dev: float,
-                           region: tuple[float, float], K2: float = 1.0) -> float:
+                           region: tuple[float, float]) -> float:
     """Worst-case drift of n truncated steps from the reduced flow.
 
         n*eps^2*K2 + (L*eps/2)*((1 + eps*K)^n - 1) + dev*exp(K*eps*n)
 
     with L, K grid maxima of the gradient and of the variational (Hessian)
-    norm over the region.  K2 is the unknown second-order remainder constant
-    of the map itself, configurable, default 1.  A bound beyond the float
-    range is returned as inf.
+    norm over the region.  K2 = _K2 = 1 stands in for the unknown
+    second-order remainder constant of the map itself.  A bound beyond the
+    float range is returned as inf.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -200,7 +201,7 @@ def propagated_error_bound(params: ModelParams, n: int, dev: float,
     L, K = _region_constants(params, float(min(region)), float(max(region)))
     try:
         euler = 0.5 * L * eps * ((1.0 + eps * K) ** n - 1.0)
-        return n * eps * eps * K2 + euler + dev * math.exp(K * eps * n)
+        return n * eps * eps * _K2 + euler + dev * math.exp(K * eps * n)
     except OverflowError:
         return math.inf
 
@@ -370,7 +371,10 @@ def _ts_integrand(params: ModelParams, I: float, side: Side) -> float:
         sin_psi = -1.0 if side is Side.RIGHT else 1.0
         return -0.5 * math.pi / (TWO_PI * params.a10 * sin_psi)
     psi = highway_psi(params, a, side)
-    return -math.sinh(math.pi * a / 2.0) / (TWO_PI * params.a10 * a * math.sin(psi))
+    try:
+        return -math.sinh(math.pi * a / 2.0) / (TWO_PI * params.a10 * a * math.sin(psi))
+    except OverflowError:
+        raise ValueError(f"T_s overflows: sinh(pi*I/2) at I = {I!r} exceeds floats") from None
 
 
 def time_Ts(params: ModelParams, I0: float, If: float,
@@ -380,7 +384,8 @@ def time_Ts(params: ModelParams, I0: float, If: float,
         integral of -sinh(pi I/2) / (2 pi a10 I sin(psi_h(I))) dI
 
     The integrand is even in I, so symmetric intervals double the half-range
-    value.  Requires [I0, If] inside the highway domain.
+    value.  Requires [I0, If] inside the highway domain, with sinh(pi I/2)
+    finite there (else ValueError).
     """
     _check_lane_interval(params, min(I0, If), max(I0, If))
     from scipy.integrate import quad  # SciPy only where a quadrature runs
@@ -393,8 +398,8 @@ def time_Ts(params: ModelParams, I0: float, If: float,
 def time_Th(params: ModelParams, I_star: float) -> tuple[float, float, float]:
     """Homoclinic travel time per scattering step: (T_h, delta, C).
 
-    C = 16|a10| (1 + 1.465 / sqrt(1 - mu^2 A^2)) with A the max of alpha on
-    [0, I_star]; delta = 4*sqrt(2)*eps/C; T_h = 2*log(C/eps).
+    C = 16|a10| (1 + 1.465 / sqrt(1 - mu^2 A^2)), A = max of alpha on [0, I_star];
+    delta = 4*sqrt(2)*eps/C; T_h = 2*log(C/eps) > 0 needs eps < C (else ValueError).
     """
     if params.eps <= 0.0:
         raise ValueError("eps must be positive for a finite travel time")
@@ -406,6 +411,8 @@ def time_Th(params: ModelParams, I_star: float) -> tuple[float, float, float]:
             f"mu^2 A^2 = {m2a2!r} >= 1; travel-time constant undefined"
         )
     C = 16.0 * abs(params.a10) * (1.0 + ALPHA_PRIME_BOUND / math.sqrt(1.0 - m2a2))
+    if params.eps >= C:
+        raise ValueError(f"eps = {params.eps!r} >= C = {C!r}: no positive travel time")
     delta = 4.0 * math.sqrt(2.0) * params.eps / C
     return 2.0 * math.log(C / params.eps), delta, C
 
@@ -427,11 +434,16 @@ def diffusion_time(params: ModelParams, I_star: float, c: float = 0.5,
     eps = params.eps
     ts = time_Ts(params, -I_star, I_star, _rising_side(params))
     th, delta, C = time_Th(params, I_star)
-    ns = round(ts / eps)
+    steps = ts / eps
+    if not 0.5 < steps < math.inf:   # N_s = round(T_s/eps) must be a count >= 1
+        raise ValueError(f"T_s/eps = {steps!r}: no scattering step, or too many to count")
+    ns = round(steps)
     nss = math.ceil(eps ** (-c))
     ti = TWO_PI * math.ceil(TWO_PI / eps**a - 1.0)
     td = ns * th + (ns // nss) * ti
-    asym = (ts / eps) * 2.0 * math.log(C / eps)
+    if td == math.inf:
+        raise ValueError(f"T_d is beyond the float range at I_star = {I_star!r}, eps = {eps!r}")
+    asym = steps * 2.0 * math.log(C / eps)
     return DiffusionTimeEstimate(
         Ts=ts, Ns=ns, Nss=nss, Th=th, Ti=ti, C=C, Td=td, delta=delta,
         asymptotic=asym, ratio=td / asym,

@@ -138,12 +138,11 @@ def trace_highway(params: ModelParams, side: Side, I_from: float, I_to: float,
     return samples
 
 
-def highway_domain(params: ModelParams, scan_step: float = 1e-2,
-                   proximity: float = 1e-3) -> HighwayDomain:
+def highway_domain(params: ModelParams) -> HighwayDomain:
     """Guaranteed domain plus a numeric breakage detector.
 
-    The detector walks the breakage band and flags actions where the lane
-    root either disappears or comes within ``proximity`` of a tangency
+    The detector walks the breakage band in steps of 1e-2 and flags actions
+    where the lane root either disappears or comes within 1e-3 of a tangency
     angle; contiguous safe stretches are reported as effective intervals.
     """
     i_plus, i_plusplus = critical_actions(params)
@@ -166,10 +165,10 @@ def highway_domain(params: ModelParams, scan_step: float = 1e-2,
         info = tangency_points(params, I)
         if info is None:
             return True
-        return min(abs(psi - info.psi1), abs(psi - info.psi2)) >= proximity
+        return min(abs(psi - info.psi1), abs(psi - info.psi2)) >= 1e-3
 
     # scan the positive band; the domain is symmetric under I -> -I
-    band = arange(i_plus, i_plusplus + scan_step, scan_step)
+    band = arange(i_plus, i_plusplus + 1e-2, 1e-2)
     extra: list[tuple[float, float]] = []
     start = None
     for I in band:
@@ -206,8 +205,6 @@ def epsilon_star(params: ModelParams, I_star: float,
     """
     if I_star <= 0.0:
         raise ValueError("I_star must be positive")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
     if crest_orientation(params, I_star) is not Orientation.HORIZONTAL:
         raise NotInDomain(f"lane undefined at I = {I_star!r}")
     Is = linspace(0.0, I_star, grid)

@@ -75,10 +75,11 @@ def brentq(f, a: float, b: float, args: tuple = (), xtol: float = 2e-12) -> floa
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:
-                # extrapolate
+                # extrapolate; a denominator underflowed to 0 bisects, as C's inf step does
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             step = 2 * abs(stry)
             if step < abs(spre) and step < 3 * abs(sbis) - delta:
                 spre, scur = scur, stry   # good short step
@@ -144,6 +145,8 @@ def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list
     num >= 2: i*step + start with step = (stop - start)/div, div = num - 1
     (num without endpoint); where step underflows to 0, NumPy's subnormal
     branch (i/div)*(stop - start) + start; and stop last with endpoint."""
+    if num < 2:
+        raise ValueError(f"sample count {num!r}: must be at least 2")
     check_samples(num)
     div = num - 1 if endpoint else num
     delta = stop - start

@@ -388,12 +388,15 @@ def _primary(params: ModelParams, I, phi, s,
 
     It is the crossing of minimal |tau| (tau = s - sigma), ties toward the
     smaller tau; off the SINGLE branch, where the action has a tangency band,
-    only crossings with psi in that branch's psi-domain count.  Returns the
+    only crossings with psi in that branch's (maximum-crest) psi-domain count,
+    so the minimum crest takes SINGLE only, else ValueError.  Returns the
     arrays tau, psi, sigma (NaN where there is no primary crossing) and why:
     _OK, or the reason there is none (_SINGULAR, _MISSES, _OFF_BRANCH).
     _gradient marks an _OK crossing _TANGENT or _EDGE where it has no
     gradient.
     """
+    if crest is CrestBranch.MINIMUM and branch is not Branch.SINGLE:
+        raise ValueError(f"branch {branch.value} is defined on the maximum crest only")
     I, phi, s = _points(I, phi, _window_s(s))
     a, = _per_action(params, I, crest_coefficient)
     point, sigma = _crossings(a, I, phi, s, crest)
@@ -479,10 +482,9 @@ def reduced_poincare(params: ModelParams, I: float, theta: float,
     return melnikov_potential(params, I, ts.psi, ts.sigma)
 
 
-def reduced_poincare_psi(params: ModelParams, I: float, psi: float,
-                         crest: CrestBranch = CrestBranch.MAXIMUM) -> float:
-    """Crest-angle form A00 + A10(I) cos(psi) + A01 cos(xi(I, psi)); no root-finding."""
-    return melnikov_potential(params, I, psi, xi(params, crest, I, psi))
+def reduced_poincare_psi(params: ModelParams, I: float, psi: float) -> float:
+    """Maximum-crest form A00 + A10(I) cos(psi) + A01 cos(xi(I, psi)); no root-finding."""
+    return melnikov_potential(params, I, psi, xi(params, CrestBranch.MAXIMUM, I, psi))
 
 
 def _grad_at_crossing(params: ModelParams, I, tau, psi):
@@ -497,9 +499,9 @@ def _grad_at_crossing(params: ModelParams, I, tau, psi):
 
 def finite_diff_grad(params: ModelParams, I: float, theta: float,
                      crest: CrestBranch = CrestBranch.MAXIMUM,
-                     branch: Branch = Branch.SINGLE,
-                     h: float = 1e-5) -> tuple[float, float]:
-    """Central finite differences of reduced_poincare; the independent oracle."""
+                     branch: Branch = Branch.SINGLE) -> tuple[float, float]:
+    """Central finite differences (step h = 1e-5) of reduced_poincare; the oracle."""
+    h = 1e-5
     f = lambda ii, tt: reduced_poincare(params, ii, tt, crest, branch)
     d_i = (f(I + h, theta) - f(I - h, theta)) / (2.0 * h)
     d_theta = (f(I, theta + h) - f(I, theta - h)) / (2.0 * h)
@@ -570,15 +572,14 @@ def scattering_step(params: ModelParams, pt: ReducedPoint,
                         theta=pt.theta - params.eps * d_i)
 
 
-def scattering_branches(params: ModelParams, I: float, theta: float,
-                        crest: CrestBranch = CrestBranch.MAXIMUM) -> BranchSet:
-    """Which scattering branches exist at (I, theta), with their psi-domains."""
+def scattering_branches(params: ModelParams, I: float, theta: float) -> BranchSet:
+    """Which branches of the maximum crest exist at (I, theta), with their psi-domains."""
     orientation = crest_orientation(params, I)
     if orientation is Orientation.SINGULAR:
         return BranchSet(available=(), domains={}, tangency=None)
     if orientation is Orientation.VERTICAL:
         # vertical crest: a crossing may or may not exist at this theta
-        why = _primary(params, I, theta, 0.0, crest)[3]
+        why = _primary(params, I, theta, 0.0)[3]
         avail = (Branch.SINGLE,) if why[0] == _OK else ()
         return BranchSet(available=avail, domains={}, tangency=None)
     info = tangency_points(params, I)
@@ -634,28 +635,27 @@ def symmetry_check_mu(params: ModelParams, n: int = 20,
                           max_discrepancy_phi=float(np.abs(left_phi - right_phi).max(initial=0.0)))
 
 
-def flow_reduced_hamiltonian(params: ModelParams, pt: ReducedPoint, t: float,
-                             crest: CrestBranch = CrestBranch.MAXIMUM,
-                             branch: Branch = Branch.SINGLE,
-                             rtol: float = 1e-11, atol: float = 1e-13) -> ReducedPoint:
-    """Flow of dI/dt = dL/dtheta, dtheta/dt = -dL/dI for time t.
+def flow_reduced_hamiltonian(params: ModelParams, pt: ReducedPoint, t: float) -> ReducedPoint:
+    """Flow of dI/dt = dL/dtheta, dtheta/dt = -dL/dI for time t, L the
+    reduced function of the maximum crest's single map.
 
     The truncated scattering map is the Euler step of this system, so n map
-    iterates track this flow at time n*eps.  Conserves the reduced function
-    to ~1e-9 per unit time at the default tolerances.  Where the flow leaves
-    the branch domain the map's own error propagates (NoCrossing in a hole);
-    a failed integration raises ScatmapError.
+    iterates track this flow at time n*eps.  Integrated by DOP853 at rtol =
+    1e-11, atol = 1e-13, it conserves the reduced function to ~1e-9 per unit
+    time.  Where the flow leaves the branch domain the map's own error
+    propagates (NoCrossing in a hole); a failed integration raises
+    ScatmapError.
     """
     if t == 0.0:
         return pt
     from scipy.integrate import solve_ivp  # SciPy only where a flow is integrated
 
     def rhs(_t, y):
-        d_i, d_theta = grad_reduced_poincare(params, y[0], y[1], crest, branch)
+        d_i, d_theta = grad_reduced_poincare(params, y[0], y[1])
         return [d_theta, -d_i]
 
     sol = solve_ivp(rhs, (0.0, t), [pt.I, pt.theta], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=False)
+                    rtol=1e-11, atol=1e-13, dense_output=False)
     if not sol.success:
         raise ScatmapError(f"reduced flow integration failed: {sol.message}")
     return ReducedPoint(I=float(sol.y[0, -1]), theta=float(sol.y[1, -1]))

@@ -47,6 +47,8 @@ def melnikov_quadrature_oracle(params: ModelParams, I: float, phi: float,
     amp = abs(params.a00) + abs(params.a10) + abs(params.a01)
     # tail beyond T is bounded by 8*amp*exp(-2T)
     T = 0.5 * math.log(max(8.0 * amp, 1.0) / (0.1 * tol)) + 1.0
+    if T == math.inf:
+        raise ValueError(f"amplitude {amp!r} at tol {tol!r} needs an infinite quadrature window")
     from scipy.integrate import quad
 
     def integrand(u: float) -> float:
@@ -87,30 +89,27 @@ def _integrate(params: ModelParams, y0, T: float, rtol: float, atol: float, **op
     return sol
 
 
-def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
-                            T0: float | None = None,
-                            rtol: float = 1e-12) -> tuple[float, float]:
+def measure_homoclinic_jump(params: ModelParams, I: float, phi: float,
+                            s: float) -> tuple[float, float]:
     """Measured vs predicted first-order action jump across one excursion.
 
     Launches on the unperturbed separatrix at separatrix time tau* - T0 with
     (I, phi) back-propagated by the exact torus flow (the full flow on the
     invariant manifold p = q = 0; this captures the O(eps) wobble of the
     asymptotic orbit that a bare rotor rotation misses), integrates the
-    full system for 2*T0, and reads the jump off the rotor first integral
-    model.inner_first_integral, which is constant except during the
-    excursion.  Returns (dI_measured, dI_predicted = eps * dL*/dphi).
-    Raises ScatmapError for a torus that barely rotates (|I| < 1e-6).
-
-    T0 defaults to log(1/eps) + 5.  Much larger values degrade the result:
-    the hyperbolic stretch re-amplifies the launch offset.
+    full system for 2*T0 = 2*(log(1/eps) + 5) at rtol = 1e-12, and reads the
+    jump off the rotor first integral model.inner_first_integral, which is
+    constant except during the excursion.  Returns (dI_measured,
+    dI_predicted = eps * dL*/dphi).  Raises ScatmapError for a torus that
+    barely rotates (|I| < 1e-6).
     """
     if abs(I) < 1e-6:
         raise ScatmapError(
             "jump measurement needs a rotating torus (|I| >= 1e-6)")
     if params.eps == 0.0:
         return 0.0, 0.0
-    if T0 is None:
-        T0 = math.log(1.0 / params.eps) + 5.0
+    # a much larger T0 degrades the result: the hyperbolic stretch re-amplifies the launch offset
+    T0 = math.log(1.0 / params.eps) + 5.0
     # keep the launch anchored to the same s-representative tau_star uses
     s = float(_window_s(s))
     ts = tau_star_full(params, I, phi, s, CrestBranch.MAXIMUM)
@@ -118,7 +117,7 @@ def measure_homoclinic_jump(params: ModelParams, I: float, phi: float, s: float,
 
     p0, q0 = separatrix(ts.tau - T0)
     I0, phi0 = _integrate(params, [0.0, 0.0, I, phi, 0.0], -T0, 1e-13, 1e-14).y[2:4, -1].tolist()
-    yf = _integrate(params, [p0, q0, I0, phi0, s - T0], 2.0 * T0, rtol, rtol * 0.1).y[:, -1]
+    yf = _integrate(params, [p0, q0, I0, phi0, s - T0], 2.0 * T0, 1e-12, 1e-13).y[:, -1]
     G0 = inner_first_integral(params, I0, phi0)
     Gf = inner_first_integral(params, yf[2], yf[3])
     return (Gf - G0) / I, predicted

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import scatmap
 from scatmap import ModelParams
@@ -47,6 +50,12 @@ class TestCrests:
         residuals = [abs(float(l.split(",")[3])) for l in lines[1:]]
         assert max(residuals) <= 1e-12
 
+    def test_singular_crest_is_numeric_failure(self, capsys):
+        # mu * alpha(I) = 1 to within 1e-12 at mu 1.5
+        code, out, err = run(capsys, "crests", "--mu", "1.5", "--I", "0.5041156496613117")
+        assert (code, out) == (1, "")
+        assert "numeric failure: crest is singular at I = 0.5041156496613117" in err
+
     def test_vertical_csv(self, capsys):
         code, out, _ = run(capsys, "crests", "--mu", "1.2", "--I", "1",
                            "--grid", "8")
@@ -66,6 +75,12 @@ class TestPortrait:
         table = {(round(i, 9), round(t, 9)): v for i, t, v in rows}
         for (i, t), v in table.items():
             assert table[(round(-i, 9), t)] == pytest.approx(v, abs=1e-9)
+
+    @pytest.mark.parametrize("imax", ["-4", "-5"])
+    def test_empty_action_range_is_config_error(self, capsys, imax):
+        code, out, err = run(capsys, "portrait", "--grid", "4", "--imin", "-4", "--imax", imax)
+        assert (code, out) == (2, "")
+        assert "configuration error: imax must exceed imin" in err
 
     def test_holes_flagged_nan(self, capsys):
         code, out, _ = run(capsys, "portrait", "--mu", "1.5", "--grid", "31",
@@ -185,7 +200,7 @@ class TestTangency:
         code, out, err = run(capsys, "tangency", "--mu", "0.9", "--grid", grid)
         assert code == 2
         assert out == ""
-        assert "grid resolution must be >= 2" in err
+        assert f"configuration error: sample count {grid}: must be at least 2" in err
 
 
 class TestOrbit:
@@ -263,6 +278,20 @@ class TestVerifyCommand:
         assert "[PASS]" in out
         assert "[FAIL]" not in out
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")   # amplitude 1e20
+    def test_no_gradient_to_check_fails(self, capsys):
+        # at mu 1e20 every sampled segment misses the crest: the gradient
+        # check stops after 1000 draws
+        code, out, _ = run(capsys, "verify", "--fast", "--mu", "1e20")
+        assert code == 1
+        assert ("[FAIL] reduced-function gradient vs finite differences: "
+                "0 of 1000 draws have a gradient") in out
+
+    def test_unbounded_quadrature_window_is_config_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--fast", "--mu", "1e300")
+        assert (code, out) == (2, "")
+        assert "configuration error: amplitude 1e+300 at tol 1e-11 needs an infinite" in err
+
 
 class TestOutPath:
     # each command's --out file holds exactly what it writes to stdout
@@ -319,11 +348,97 @@ class TestSampleCounts:
         ["tangency", "--grid", "1000001"],
         ["epsstar", "--grid", "1000001"],
         ["crests", "--grid", "1000001"],
+        # a portrait grid holds grid**2 cells, and --nlevels levels take
+        # nlevels + 2 samples
+        ["portrait", "--grid", "1001"],
+        ["portrait", "--grid", "100000000000000"],
+        ["portrait", "--grid", "3", "--nlevels", "100000000000"],
     ])
     def test_config_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "configuration error: sample count" in err
+
+    @pytest.mark.parametrize("grid", ["-1", "0", "1"])
+    @pytest.mark.parametrize("command", ["crests", "portrait", "epsstar"])   # tangency: TestTangency
+    def test_fewer_than_two_samples(self, capsys, command, grid):
+        code, out, err = run(capsys, command, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert f"configuration error: sample count {grid}: must be at least 2" in err
+
+
+# each command's float flags besides the model's, and the model's
+FLOAT_FLAGS = {
+    "regime": [], "crests": ["I"], "portrait": ["imin", "imax"],
+    "highways": ["imin", "imax", "step"], "tangency": ["I", "imin", "imax"],
+    "orbit": ["Istar", "ifrom", "ito", "c", "a"], "difftime": ["Istar", "c", "a"],
+    "epsstar": ["Istar"], "verify": [],
+}
+MODEL_FLAGS = ["a00", "a10", "a01", "eps", "mu"]
+
+
+def flag_values(smallest: float = -300.0):
+    """Floats of either sign with magnitudes log-uniform in [10**smallest,
+    1e300], and nan and +-inf."""
+    finite = st.builds(lambda sign, e: sign * 10.0 ** e,
+                       st.sampled_from([1.0, -1.0]), st.floats(smallest, 300.0))
+    return st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with a random subset of its float flags, small sample
+    counts (--grid, --nlevels) and verify's --fast."""
+    command = draw(st.sampled_from(sorted(FLOAT_FLAGS)))
+    argv = [command]
+    for flag in MODEL_FLAGS + FLOAT_FLAGS[command]:
+        if draw(st.booleans()):
+            # a pseudo-orbit takes about 1/eps steps per unit of action, so
+            # an eps below 0.01 only lengthens the run
+            smallest = -2.0 if (command, flag) == ("orbit", "eps") else -300.0
+            argv.append(f"--{flag}={draw(flag_values(smallest))!r}")
+    if command in ("crests", "portrait", "tangency", "epsstar") and draw(st.booleans()):
+        argv.append(f"--grid={draw(st.integers(-1, 6))}")
+    if command == "portrait":
+        argv.append(f"--grid={draw(st.integers(2, 6))}")   # the default is 400
+        if draw(st.booleans()):
+            argv.append(f"--nlevels={draw(st.integers(-1, 3))}")
+        if draw(st.booleans()):
+            levels = draw(st.lists(flag_values(), max_size=2))
+            argv.append(f"--levels={','.join(map(repr, levels))}")
+    if command == "highways":
+        argv.append(f"--side={draw(st.sampled_from(['left', 'right', 'both']))}")
+    if command == "verify":
+        argv.append("--fast")
+    return argv
+
+
+class TestBoundaryFuzz:
+    """Any flag values: main returns 0, 1 or 2 and raises nothing, and a
+    run that exits 0 reports no negative time."""
+
+    @given(command_lines())
+    # each of these escaped main or exited 0 with a negative time
+    @example(["difftime", "--eps=50.0", "--Istar=4.0"])
+    @example(["orbit", "--eps=40.0", "--Istar=1.0"])
+    @example(["difftime", "--Istar=0.001", "--eps=0.01"])
+    @example(["difftime", "--Istar=1e+300"])
+    @example(["verify", "--fast", "--mu=1e+300"])
+    @example(["difftime", "--a10=1e-105", "--a01=1e-98"])   # found by this test
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_exit_codes(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 0 and argv[0] == "difftime":
+            doc = json.loads(out.getvalue())
+            assert doc["Th"] > 0.0 and doc["Td"] >= 0.0
+        if code == 0 and argv[0] == "orbit":
+            times = [float(line.rsplit(",", 1)[1])
+                     for line in out.getvalue().splitlines()[1:]]
+            assert not any(t < 0.0 for t in times)   # NaN where T_h is undefined
 
 
 class TestFormatFlag:
@@ -361,6 +476,20 @@ class TestConfigPrecedence:
     def test_missing_config_is_config_error(self, capsys):
         code, _, err = run(capsys, "regime", "--config", "/nonexistent.cfg")
         assert code == 2
+
+    def test_bad_config_line_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a10 0.9\n")
+        code, out, err = run(capsys, "regime", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "configuration error: bad config line (want key=value): 'a10 0.9'" in err
+
+    def test_file_mu_sets_a10(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a01 = 2.0\nmu = 0.9\n")
+        code, out, _ = run(capsys, "regime", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["mu"] == 0.9
 
 
 class TestDeterminism:

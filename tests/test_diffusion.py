@@ -53,6 +53,12 @@ class TestErgodization:
         with pytest.raises(ScatmapError, match="rotor effectively frozen"):
             df.inner_ergodization_time(0.001, eps=0.05, a=0.5)
 
+    def test_periodic_rotor_stays_put(self):
+        # at I = 0.5 two rotor periods return theta exactly (zero residue):
+        # no multiple of them moves theta toward the target
+        assert df._dirichlet_base(0.5, 0.3) == (2, 0.0)
+        assert df._inner_retarget(0.5, 1.0, 2.0, 0.3) == (0.0, 1.0)
+
 
 @pytest.fixture(scope="module")
 def orbit():
@@ -276,6 +282,14 @@ class TestTravelTime:
         with pytest.raises(ScatmapError, match="travel-time constant undefined"):
             df.time_Th(p, 4.0)
 
+    def test_positive_only_below_C(self, p06):
+        # T_h = 2 log(C/eps) is zero at eps = C and negative above it
+        _, _, C = df.time_Th(p06, 4.0)
+        assert df.time_Th(ModelParams(0.0, 0.6, 1.0, eps=C * (1 - 1e-15)), 4.0)[0] > 0.0
+        for eps in (C, 50.0):
+            with pytest.raises(ValueError, match=r"^eps = .* >= C = .*: no positive travel time$"):
+                df.time_Th(ModelParams(0.0, 0.6, 1.0, eps=eps), 4.0)
+
 
 class TestDiffusionTime:
     def test_decomposition_identity(self, p06):
@@ -304,6 +318,24 @@ class TestDiffusionTime:
         # as build_pseudo_orbit_general and epsilon_star reject it
         with pytest.raises(ValueError, match="I_star must be positive"):
             df.diffusion_time(p06, I_star)
+
+    @pytest.mark.parametrize("I_star,message", [
+        # T_s/eps = 0.083 rounds to no scattering step (T_d = 0)
+        (1e-3, r"^T_s/eps = 0\.08\d+: no scattering step, or too many to count$"),
+        # sinh(pi I/2) overflows in the T_s integrand
+        (1e300, r"^T_s overflows: sinh\(pi\*I/2\) at I = .* exceeds floats$"),
+    ])
+    def test_action_outside_the_float_range(self, p06, I_star, message):
+        with pytest.raises(ValueError, match=message):
+            df.diffusion_time(p06, I_star)
+
+    @pytest.mark.parametrize("eps,message", [
+        (5e-324, r"^T_s/eps = inf: no scattering step, or too many to count$"),
+        (1e-306, r"^T_d is beyond the float range at I_star = 4\.0, eps = 1e-306$"),
+    ])
+    def test_time_beyond_the_float_range(self, eps, message):
+        with pytest.raises(ValueError, match=message):
+            df.diffusion_time(ModelParams(0.0, 0.6, 1.0, eps=eps), 4.0)
 
 
 class TestPropagatedErrorBound:

@@ -15,7 +15,10 @@ code that evaluates them lives in scattering.py, and the commands built on
 them start without NumPy.  errors.py keeps a class
 only for a distinction some caller makes: no except clause of src/scatmap
 names two or more of its classes, and each is raised (called) somewhere in
-src/scatmap outside errors.py.
+src/scatmap outside errors.py.  Every keyword parameter with a default, of a
+public module-level function of src/scatmap, is given a value by some call
+in src/scatmap, tests or scripts (by keyword, by position, or through * or
+**): a value nobody sets is a constant of the function, not a parameter.
 """
 import ast
 from pathlib import Path
@@ -186,3 +189,51 @@ def test_every_error_class_is_raised():
     classes = error_classes(ERRORS.read_text(encoding="utf-8"))
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE if path != ERRORS]
     assert uninstantiated(classes, sources) == []
+
+
+def unset_defaults(package: dict[str, str], sources: list[str]) -> list[str]:
+    """The defaulted parameters of the package's public module-level
+    functions that no call in the sources gives a value; calls are matched
+    by the called name (f or m.f)."""
+    params: dict[tuple[str, str], tuple[str, int | None]] = {}
+    for where, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for index, arg in enumerate(positional[first:], first):
+                    params[node.name, arg.arg] = (f"{where}:{node.lineno}", index)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        params[node.name, arg.arg] = (f"{where}:{node.lineno}", None)
+    given: set[tuple[str, str]] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node.func)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}   # None for **
+            for (function, param), (_, index) in params.items():
+                if function == name and (
+                        param in keywords or None in keywords
+                        or (index is not None and (starred or index < len(node.args)))):
+                    given.add((function, param))
+    return sorted(f"{where}: {function}({param})"
+                  for (function, param), (where, _) in params.items()
+                  if (function, param) not in given)
+
+
+def test_scanner_sees_an_unset_default():
+    package = {"m.py": "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+                       "def g(x=0):\n    pass\n\ndef h(y=0):\n    pass\n\n"
+                       "def _private(z=0):\n    pass\n"}
+    sources = ["f(0, 1)\nm.f(0, e=5)\ng(*args)\nh(**options)\n"]
+    assert unset_defaults(package, sources) == ["m.py:1: f(c)", "m.py:1: f(d)"]
+
+
+def test_every_default_is_set_by_a_caller():
+    package = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    sources = [path.read_text(encoding="utf-8") for path in FILES]
+    assert unset_defaults(package, sources) == []

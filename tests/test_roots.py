@@ -125,6 +125,15 @@ def test_highway_brackets(mu, side, I, h):
             assert_same(f, a, b, xtol=1e-14)
 
 
+@pytest.mark.parametrize("I", [-4.0, -3.996, -3.992])
+def test_underflowing_extrapolation_bisects(I):
+    # amplitudes near 1e-100: the extrapolation's denominator underflows to
+    # 0, where SciPy's C step is inf or NaN and bisects
+    p = ModelParams(a00=0.0, a10=1e-105, a01=1e-98)
+    f = lambda psi: level_gap(p, I, psi)
+    assert isinstance(assert_same(f, math.pi + 1e-13, TWO_PI - 1e-13, xtol=1e-14), float)
+
+
 @given(st.floats(0.63, 50.0))
 @settings(max_examples=25, deadline=None)
 def test_root_scan_brackets(mu):
@@ -286,3 +295,11 @@ def test_sample_count_bound(n):
 def test_ranges_refuse_a_count_before_sampling(make):
     with pytest.raises(ValueError, match="sample count"):
         make()
+
+
+@pytest.mark.parametrize("endpoint", [True, False])
+@pytest.mark.parametrize("num", [-1, 0, 1])
+def test_linspace_takes_two_samples_or_more(num, endpoint):
+    # num = 1 used to divide by zero and num <= 0 to index an empty list
+    with pytest.raises(ValueError, match=rf"^sample count {num}: must be at least 2$"):
+        linspace(0.0, 1.0, num, endpoint=endpoint)

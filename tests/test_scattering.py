@@ -31,6 +31,8 @@ from scatmap.model import (
 )
 
 MAX, MIN = CrestBranch.MAXIMUM, CrestBranch.MINIMUM
+# the branches are the maximum crest's: the minimum crest takes SINGLE only
+CREST_BRANCHES = [(MAX, branch) for branch in sc.Branch] + [(MIN, sc.Branch.SINGLE)]
 MUS = (0.6, 0.9, 1.5)   # single map, tangency, holes
 
 
@@ -486,6 +488,20 @@ class TestCrossingKernel:
         assert (rep.max_discrepancy_I, rep.max_discrepancy_phi) == (max_di, max_dphi)
 
 
+def test_close_roots_merge():
+    # a segment tangent to the crest at the scan sample s0: c(s0) rounds to
+    # a tiny negative value, so the brackets on either side of s0 refine to
+    # two roots closer than 1e-10, which the kernel merges into one
+    I, s0 = 20.0, float(sc._scan_samples(MAX)[88])
+    a = math.hypot(math.sin(s0), math.cos(s0) / I)   # c(s0) = c'(s0) = 0
+    phi = math.atan2(-math.sin(s0) / a, -math.cos(s0) / (a * I)) - I * s0
+    point, sigma = sc._crossings(np.array([a]), np.array([I]), np.array([phi]),
+                                 np.zeros(1), MAX)
+    assert (point == 0).all()
+    assert np.diff(sigma).min() > 1e-10
+    assert np.abs(sigma - s0).min() <= 1e-10
+
+
 class TestPrimary:
     """_primary on a batch gives, point by point, the reference pick and
     tau_star_full's result; where there is none, tau_star_full's error."""
@@ -493,11 +509,12 @@ class TestPrimary:
     WHY = {SingularCrest: sc._SINGULAR, NoCrossing: sc._MISSES,
            BranchUnavailable: sc._OFF_BRANCH}
 
-    @given(st.sampled_from(MUS), st.sampled_from([MAX, MIN]), st.sampled_from(list(sc.Branch)),
+    @given(st.sampled_from(MUS), st.sampled_from(CREST_BRANCHES),
            st.sampled_from([0.0, math.pi, None]), st.integers(1, sc._CHUNK + 40),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_batch_equals_tau_star_full(self, mu, crest, branch, s0, n, seed):
+    def test_batch_equals_tau_star_full(self, mu, crest_branch, s0, n, seed):
+        crest, branch = crest_branch
         p = as_mu(mu)
         rng = np.random.default_rng(seed)
         I = rng.uniform(-3.5, 3.5, n)
@@ -546,6 +563,18 @@ class TestPrimary:
             assert sc.tau_star_full(p, *point, crest, branch) == want
             assert why[k] == sc._OK
             assert (tau[k], psi[k], sigma[k]) == (want.tau, want.psi, want.sigma)
+
+
+@pytest.mark.parametrize("branch", [sc.Branch.A, sc.Branch.B, sc.Branch.C])
+def test_minimum_crest_takes_single_branch_only(p09, branch):
+    # the branch psi-domains come from the maximum crest's tangency band: at
+    # mu 0.9, I 1.5 the minimum crest's three crossings lie elsewhere in theta
+    for call in (lambda: sc._primary(p09, 1.5, 2.0, 0.0, MIN, branch),
+                 lambda: sc.tau_star(p09, 1.5, 2.0, MIN, branch),
+                 lambda: sc.grad_reduced_poincare(p09, 1.5, 2.0, MIN, branch)):
+        with pytest.raises(ValueError, match=f"^branch {branch.value} is defined on "
+                                             "the maximum crest only$"):
+            call()
 
 
 class TestReducedPoincare:
@@ -682,8 +711,7 @@ class TestGradientBatch:
                         for sig in (math.pi / 2, -math.pi / 2) for d in (-1e-10, 0.0, 1e-10)]
         return pts
 
-    @pytest.mark.parametrize("crest", [MAX, MIN])
-    @pytest.mark.parametrize("branch", list(sc.Branch))
+    @pytest.mark.parametrize("branch,crest", [(b, c) for c, b in CREST_BRANCHES])
     @pytest.mark.parametrize("mu", MUS)
     def test_batch_equals_grad_reduced_poincare(self, mu, branch, crest):
         p = as_mu(mu)
