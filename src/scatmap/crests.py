@@ -46,8 +46,11 @@ class Regime(Enum):
 class TangencyInfo:
     """Tangency data between torus lines and the maximum crest at action I.
 
-    psi1 in (pi/2, pi] and psi2 = 2*pi - psi1 are the tangent crest angles;
-    theta1 >= theta2 are the corresponding torus-line labels.
+    psi1 <= psi2 are the tangent crest angles, the ends of the interval on
+    which the label theta(psi) decreases: pi -/+ h for mu > 0 (psi1 in
+    (pi/2, pi]) and -/+ h for mu < 0 (psi1 in (-pi/2, 0]), with h in
+    [0, pi/2).  theta1 = theta(psi1) >= theta2 = theta(psi2) are the
+    corresponding torus-line labels, unwrapped.
     """
 
     I: float
@@ -146,8 +149,11 @@ def tangency_points(params: ModelParams, I: float) -> TangencyInfo | None:
         return None  # at a singular crest the angles degenerate to pi/2, 3pi/2
     r = math.sqrt((b * b - 1.0) / (1.0 - a * a))
     half = math.atan(r)
-    psi1 = math.pi - half
-    psi2 = math.pi + half
+    # d theta/d psi = 1 + I*c*cos(psi)/sqrt(1 - (c sin(psi))^2), c = mu*alpha_signed(I),
+    # vanishes where cos(psi) has the sign of -I*c, that is of -mu
+    centre = math.pi if params.mu > 0.0 else 0.0
+    psi1 = centre - half
+    psi2 = centre + half
     theta1 = theta_of_psi(params, I, psi1)
     theta2 = theta_of_psi(params, I, psi2)
     return TangencyInfo(I=I, psi1=psi1, psi2=psi2, theta1=theta1, theta2=theta2)

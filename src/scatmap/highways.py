@@ -33,6 +33,7 @@ from .model import (
     amp_A10,
     amp_A10_deriv,
     envelope_gradient,
+    wrap_signed,
 )
 from .roots import arange, brentq, check_samples, linspace
 
@@ -165,7 +166,7 @@ def highway_domain(params: ModelParams) -> HighwayDomain:
         info = tangency_points(params, I)
         if info is None:
             return True
-        return min(abs(psi - info.psi1), abs(psi - info.psi2)) >= 1e-3
+        return min(abs(wrap_signed(psi - info.psi1)), abs(wrap_signed(psi - info.psi2))) >= 1e-3
 
     # scan the positive band; the domain is symmetric under I -> -I
     band = arange(i_plus, i_plusplus + 1e-2, 1e-2)

@@ -11,11 +11,15 @@ primary map; inside a tangency band three crossings coexist and are told
 apart by which psi-interval (branch A/B/C) they fall in.
 
 One function, _primary, finds the primary crossing of many points at once,
-on one crossing kernel (_crossings), and every caller reads it:
-tau_star_full is a batch of one, and the bulk callers (the portrait grid,
-the error-bound constants, the admissible-window scan, the mu-flip symmetry
-check) pass arrays.  _gradient takes the gradient there the same way:
-grad_reduced_poincare (hence the scattering map) is a batch of one.
+on one crossing kernel (_crossings), and every caller reads it.  The crest's
+closed-form geometry (crests.tangency_points) tells which segments cross it
+exactly once (_one_crossing); the kernel bisects those over its sigma
+samples and scans the rest, tangency-band labels and vertical crests, and
+either way gives the same float roots.  tau_star_full is a batch of one,
+and the bulk callers (the portrait grid, the error-bound constants, the
+admissible-window scan, the mu-flip symmetry check) pass arrays.
+_gradient takes the gradient there the same way: grad_reduced_poincare
+(hence the scattering map) is a batch of one.
 """
 from __future__ import annotations
 
@@ -71,6 +75,9 @@ _LOCKSTEP_MIN = 64
 # points per action from which _fill uses sine tables: at 16 as fast as sines,
 # at 64 0.2-0.4 and at 1-2 1.3-4.5 times their time (2-core x86-64, NumPy 2.4)
 _TABLE_MIN = 16
+# margin of the one-crossing test: |a| and |I*a| this far below 1, or the
+# label this far outside the tangency band (_one_crossing)
+_ONE_MARGIN = 1e-9
 # reject gradients closer to a tangency than this in |d theta / d psi|
 _TANGENCY_GUARD = 1e-6
 # reason codes: a primary crossing, or why there is none (_primary); at a
@@ -155,10 +162,12 @@ def _per_action(params: ModelParams, I, *forms) -> list[np.ndarray]:
     any shape), computed once per distinct action (a grid block holds few)."""
     I = np.asarray(I, dtype=float)
     actions = I.ravel().tolist()
+    index = {v: k for k, v in enumerate(dict.fromkeys(actions))}
+    where = np.array([index[v] for v in actions], dtype=np.intp)
     out = []
     for form in forms:
-        value = {v: form(params, v) for v in set(actions)}
-        out.append(np.array([value[v] for v in actions]).reshape(I.shape))
+        values = np.array([form(params, v) for v in index])[where]   # a tuple form adds an axis
+        out.append(values.reshape(I.shape + values.shape[1:]))
     return out
 
 
@@ -259,21 +268,91 @@ def _no_nan(fx: np.ndarray, x: np.ndarray, live=True) -> np.ndarray:
     return fx
 
 
-def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray]:
+def _lone_labels(params: ModelParams, I: float) -> tuple[float, float, float]:
+    """(low, above, below): a segment at action I crosses the maximum crest
+    exactly once if its label lies in (above, below) counted from low
+    modulo 2*pi.  With a = mu*alpha_signed(I) that takes |a| < 1 and either
+    |I*a| < 1, where theta(psi) increases (every label), or a label outside
+    the tangency band [theta2, theta1], each by _ONE_MARGIN."""
+    m = _ONE_MARGIN
+    a = crest_coefficient(params, I)
+    if not abs(a) < 1.0 - m:   # a vertical or singular crest, or nearly: no label
+        return 0.0, TWO_PI, 0.0
+    if abs(I * a) < 1.0 - m:
+        return 0.0, -1.0, 2.0 * TWO_PI
+    info = tangency_points(params, I)
+    if info is None:   # |I*a| within m of 1: no label
+        return 0.0, TWO_PI, 0.0
+    return info.theta2, info.theta1 - info.theta2 + m, TWO_PI - m
+
+
+def _one_crossing(params: ModelParams, I, phi, s, crest: CrestBranch) -> np.ndarray:
+    """Whether each segment through (I[k], phi[k], s[k]) crosses the crest
+    exactly once: its label phi - I*s passes _lone_labels, computed once per
+    distinct action (docs/DECISIONS.md).
+
+    The minimum crest is the maximum crest of -a at s - pi, c_min(sigma +
+    pi) = -c_max(sigma; -a, phi, s - pi): its band is the one at -mu.
+    """
+    if crest is CrestBranch.MINIMUM:
+        params, s = replace(params, a01=-params.a01), s - math.pi
+    low, above, below = _per_action(params, I, _lone_labels)[0].reshape(-1, 3).T
+    past = np.mod(phi - I * s - low, TWO_PI)
+    return (above < past) & (past < below)
+
+
+def _bisect(xs, rising: float, a, I, phi, s) -> tuple[np.ndarray, np.ndarray]:
+    """The sample cell [xs[j], xs[j + 1]] where c changes sign, for segments
+    whose c changes sign once over the samples xs: from below zero to at
+    least zero where rising is 1, from above to at most zero where it is -1.
+
+    Bisection on the sample index, ceil(log2(cells)) values of c per
+    segment: _crest_many on arrays from _LOCKSTEP_MIN segments, below that a
+    _crest_fn loop (the same floats).
+    """
+    if len(a) < _LOCKSTEP_MIN:
+        cells = []
+        for args in zip(a.tolist(), phi.tolist(), I.tolist(), s.tolist()):
+            j, k = 0, len(xs) - 1
+            while k - j > 1:
+                mid = (j + k) // 2
+                if rising * _crest_fn(xs.item(mid), *args) < 0.0:
+                    j = mid
+                else:
+                    k = mid
+            cells.append(j)
+        j = np.array(cells, dtype=int)
+    else:
+        j, k = np.zeros(len(a), dtype=int), np.full(len(a), len(xs) - 1)
+        for _ in range((len(xs) - 2).bit_length()):
+            mid = (j + k) // 2
+            before = rising * _crest_many(xs[mid], a, phi, I, s) < 0.0
+            j, k = np.where(before, mid, j), np.where(before, k, mid)
+    return xs[j], xs[j + 1]
+
+
+def _crossings(a, I, phi, s, crest: CrestBranch, one) -> tuple[np.ndarray, np.ndarray]:
     """(point, sigma) of every crossing of the segments through (I[k], phi[k],
     s[k]) with the crest, a[k] being the crest coefficient: the sigmas in the
     crest window with c(sigma) = 0 (to 1e-12), sorted by point, then sigma.
+    one[k] marks the segments that cross exactly once (_one_crossing).
 
-    Points are scanned _CHUNK at a time in reused working arrays: _fill
-    writes c at the window's samples, from sine tables to within delta.
-    Samples with |c| < 2e-3 + delta, a sign change or the next one that small
-    are candidates; there c and both neighbours are recomputed exactly, and
-    only those floats find the exact scan's zeros, brackets and grazing pairs
-    (local |c| minimum below 2e-3 without sign change, rescanned finely to
-    keep near-tangency double roots).  A _BLOCK's brackets are refined at
-    once, by brentq_many, or by a roots.brentq loop below _LOCKSTEP_MIN
-    brackets (same floats).  Roots with |c| > 1e-12 are dropped, and a root
-    within 1e-10 of its point's last kept root is merged into it.
+    On the maximum window c(-pi/2) = a sin(.) - 1 < 0 < c(pi/2) while
+    |a| < 1, and the signs are reversed on the minimum window; so the
+    samples of a segment that crosses once change sign once, and _bisect
+    finds that cell: the bracket the scan would refine, so the same root
+    (docs/DECISIONS.md).  Every other segment is scanned, _CHUNK at a time in
+    reused working arrays: _fill writes c at the window's samples, from sine
+    tables to within delta.  Samples with |c| < 2e-3 + delta, a sign change
+    or the next one that small are candidates; there c and both neighbours
+    are recomputed exactly, and only those floats find the exact scan's
+    zeros, brackets and grazing pairs (local |c| minimum below 2e-3 without
+    sign change, rescanned finely to keep near-tangency double roots).  A
+    _BLOCK's brackets, bisected and scanned, are refined at once, by
+    brentq_many, or by a roots.brentq loop below _LOCKSTEP_MIN brackets (same
+    floats); brentq returns a bracket end where c is zero, as the scan's
+    zero rule would.  Roots with |c| > 1e-12 are dropped, and a root within
+    1e-10 of its point's last kept root is merged into it.
 
     While the crest is horizontal its component through (0, 0) is exactly
     the graph covered by the maximum sigma-window.  Once it turns vertical
@@ -288,9 +367,16 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
     flags = np.empty((3, *values.shape), dtype=bool)
     points, sigmas = [], []
     for block in range(0, len(I), _BLOCK):
-        found = []   # per chunk: scan zeros, brackets, fine zeros (point, sigma)
-        for start in range(block, min(block + _BLOCK, len(I)), _CHUNK):
-            ca, cI, cphi, cs = (v[start:start + _CHUNK] for v in (a, I, phi, s))
+        ks = np.arange(block, min(block + _BLOCK, len(I)))
+        lone = one[ks]
+        single, scanned = ks[lone], ks[~lone]
+        lo, hi = _bisect(xs, 1.0 if want_positive else -1.0,
+                         *(v[single] for v in (a, I, phi, s)))
+        # per part: scan zeros, brackets, fine zeros (point, sigma)
+        found = [(ks[:0], xs[:0], single, lo, hi, ks[:0], xs[:0])]
+        for start in range(0, len(scanned), _CHUNK):
+            chunk = scanned[start:start + _CHUNK]
+            ca, cI, cphi, cs = (v[chunk] for v in (a, I, phi, s))
             v = values[:len(cs)]
             row, delta = _fill(v, xs, ca, cI, cphi, cs)
             # candidates: a superset of the samples with |c| < 2e-3 or c * c_next < 0
@@ -328,8 +414,8 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
                     hi = np.append(hi, sub[sr, sj + 1])
                     zr, zj = np.divmod(np.flatnonzero(sv[:, :-1] == 0.0), 256)
                     fine_point, fine_zero = gk[zr], sub[zr, zj]
-            found.append((k[zero] + start, xs[i[zero]], point + start, lo, hi,
-                          fine_point + start, fine_zero))
+            found.append((chunk[k[zero]], xs[i[zero]], chunk[point], lo, hi,
+                          chunk[fine_point], fine_zero))
 
         zero_point, zero_sigma, point, lo, hi, fine_point, fine_zero = (
             np.concatenate(parts) for parts in zip(*found))
@@ -341,6 +427,10 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
             roots = np.array([brentq(_crest_fn, x0, x1, args=tuple(rest), xtol=1e-15)
                               for x0, x1, *rest in lanes])
         ok = np.abs(_crest_many(roots, *args)) <= 1e-12
+        if not len(scanned):   # one root per point, in order: none to merge or filter
+            points.append(point[ok])
+            sigmas.append(roots[ok])
+            continue
 
         # each point's roots in the order found: scan zeros, refined, fine zeros
         point = np.concatenate([zero_point, point[ok], fine_point])
@@ -365,19 +455,37 @@ def _crossings(a, I, phi, s, crest: CrestBranch) -> tuple[np.ndarray, np.ndarray
 
 
 def _branch_psi_domains(params: ModelParams, I: float) -> dict[Branch, tuple[tuple[float, float], ...]] | None:
-    """psi-interval domains of the three bijective branches, or None if no tangency."""
+    """psi-interval domains in [0, 2*pi] of the three bijective branches, or
+    None if no tangency."""
     info = tangency_points(params, I)
     if info is None:
         return None
     th = lambda psi: theta_of_psi(params, I, psi)
-    # theta is increasing on [0, psi1] and on [psi2, 2*pi]; invert the band edges
-    psi_t1 = brentq(lambda p: th(p) - info.theta1, info.psi2, TWO_PI, xtol=1e-14)
-    psi_t2 = brentq(lambda p: th(p) - info.theta2, 0.0, info.psi1, xtol=1e-14)
-    return {
-        Branch.A: ((0.0, psi_t2), (info.psi2, TWO_PI)),
-        Branch.B: ((0.0, info.psi1), (psi_t1, TWO_PI)),
-        Branch.C: ((0.0, psi_t2), (info.psi1, info.psi2), (psi_t1, TWO_PI)),
+    # theta decreases on [psi1, psi2] and increases on the rest of the period
+    # [start, end] that holds it, [0, 2*pi] for mu > 0 and [-pi, pi] for
+    # mu < 0; invert the band edges on the increasing pieces
+    start = 0.0 if params.mu > 0.0 else -math.pi
+    end = start + TWO_PI
+    psi_t1 = brentq(lambda p: th(p) - info.theta1, info.psi2, end, xtol=1e-14)
+    psi_t2 = brentq(lambda p: th(p) - info.theta2, start, info.psi1, xtol=1e-14)
+    domains = {
+        Branch.A: ((start, psi_t2), (info.psi2, end)),
+        Branch.B: ((start, info.psi1), (psi_t1, end)),
+        Branch.C: ((start, psi_t2), (info.psi1, info.psi2), (psi_t1, end)),
     }
+    return {branch: _periodic(pieces) for branch, pieces in domains.items()}
+
+
+def _periodic(pieces: tuple[tuple[float, float], ...]) -> tuple[tuple[float, float], ...]:
+    """Intervals of [-pi, 2*pi] as intervals of [0, 2*pi]: negative parts
+    move up a period."""
+    out = []
+    for lo, hi in pieces:
+        if lo < 0.0:
+            out.append((lo + TWO_PI, min(hi, 0.0) + TWO_PI))
+        if hi > 0.0:
+            out.append((max(lo, 0.0), hi))
+    return tuple(out)
 
 
 def _primary(params: ModelParams, I, phi, s,
@@ -399,14 +507,16 @@ def _primary(params: ModelParams, I, phi, s,
         raise ValueError(f"branch {branch.value} is defined on the maximum crest only")
     I, phi, s = _points(I, phi, _window_s(s))
     a, = _per_action(params, I, crest_coefficient)
-    point, sigma = _crossings(a, I, phi, s, crest)
+    one = _one_crossing(params, I, phi, s, crest)
+    point, sigma = _crossings(a, I, phi, s, crest, one)
     tau = s[point] - sigma
     psi = _wrap_angles(phi[point] - I[point] * tau)
     singular = np.abs(np.abs(a) - 1.0) <= SINGULAR_TOL   # crest_orientation's test
     keep = ~singular[point]   # a singular crest's roots are not used
     if branch is not Branch.SINGLE:
-        # with no tangency (domains None) the one crossing serves every label
-        kept = np.flatnonzero(keep).tolist()
+        # a lone crossing lies in every branch's psi-domain (docs/DECISIONS.md),
+        # and with no tangency (domains None) it serves every label
+        kept = np.flatnonzero(keep & ~one[point]).tolist()
         actions = I[point[kept]].tolist()
         domains = {v: _branch_psi_domains(params, v) for v in dict.fromkeys(actions)}   # once each
         for j, v in zip(kept, actions):
@@ -586,9 +696,8 @@ def scattering_branches(params: ModelParams, I: float, theta: float) -> BranchSe
     if info is None:
         return BranchSet(available=(Branch.SINGLE,), domains={}, tangency=None)
     domains = _branch_psi_domains(params, I)
-    th = wrap_angle(theta)
     tol = 1e-12
-    if info.theta2 - tol <= th <= info.theta1 + tol:
+    if wrap_angle(theta - info.theta2 + tol) <= info.theta1 - info.theta2 + 2 * tol:
         # inside (or on the edge of) the tangency band: three branches
         return BranchSet(available=(Branch.A, Branch.B, Branch.C),
                          domains=domains, tangency=info)

@@ -87,6 +87,32 @@ class TestTangency:
             for psi in (info.psi1, info.psi2):
                 assert dtheta_dpsi_at(p09, I, psi) == pytest.approx(0.0, abs=I * 1e-8)
 
+    @pytest.mark.parametrize("mu", [0.9, -0.9, 1.5, -1.5])
+    def test_angles_for_either_sign_of_mu(self, mu):
+        # theta decreases from psi1 to psi2, where d theta/d psi vanishes:
+        # around pi for mu > 0 and around 0 for mu < 0, as the label of -mu
+        # is theta(psi + pi) - pi at mu
+        p, flipped = ModelParams(0.0, mu, 1.0), ModelParams(0.0, -mu, 1.0)
+        found = 0
+        for I in np.linspace(-3.5, 3.5, 71).tolist():
+            info = cr.tangency_points(p, I)
+            if info is None:
+                continue
+            found += 1
+            centre = math.pi if mu > 0 else 0.0
+            assert info.psi1 <= centre <= info.psi2
+            assert info.psi1 + info.psi2 == pytest.approx(2 * centre, abs=1e-12)
+            assert info.theta1 >= info.theta2
+            for psi in (info.psi1, info.psi2):
+                assert dtheta_dpsi_at(p, I, psi) == pytest.approx(0.0, abs=abs(I) * 1e-8)
+            assert dtheta_dpsi_at(p, I, centre) < 0.0
+            other = cr.tangency_points(flipped, I)
+            shift = math.copysign(math.pi, mu)
+            for x, y in ((info.psi1, other.psi1), (info.psi2, other.psi2),
+                         (info.theta1, other.theta1), (info.theta2, other.theta2)):
+                assert x == pytest.approx(y + shift, abs=1e-12)
+        assert found >= 10
+
     def test_predicate_agreement(self, p09, p15):
         # nonempty exactly on {1 <= I*|mu|*alpha(I)} cap {|mu|*alpha(I) <= 1}
         for p in (p09, p15):

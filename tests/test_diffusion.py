@@ -8,6 +8,7 @@ from scipy.special import shichi
 import scatmap.diffusion as df
 import scatmap.scattering as sc
 from scatmap import ModelParams
+from scatmap.crests import critical_actions
 from scatmap.errors import DomainError, NotInDomain, ScatmapError
 from scatmap.highways import Side, highway_psi
 from scatmap.model import TWO_PI, wrap_signed
@@ -213,6 +214,22 @@ class TestGeneralOrbit:
             if leg.mechanism is df.Mechanism.SCATTERING:
                 for a, b in zip(leg.points, leg.points[1:]):
                     assert b.I > a.I
+
+
+    def test_crosses_tangency_band_negative_mu(self):
+        # at mu < 0 the tangency angles lie around psi = 0: the branch-A
+        # domains are solved there, and every step is the map's own
+        p = ModelParams(0.0, -0.9, 1.0, eps=0.03)
+        orb = df.build_pseudo_orbit_general(p, 2.0)
+        assert orb.legs[0].points[0].I == -2.0 and orb.final_point.I >= 2.0
+        i_plus, i_pp = critical_actions(p)
+        steps = [(a, b) for leg in orb.legs if leg.mechanism is df.Mechanism.SCATTERING
+                 for a, b in zip(leg.points, leg.points[1:])]
+        assert any(i_plus <= a.I <= i_pp for a, _ in steps)
+        for a, b in steps:
+            branch = sc.Branch.A if df._in_band(p, a.I) else sc.Branch.SINGLE
+            assert b.I > a.I
+            assert b == scattering_step(p, a, sc.CrestBranch.MAXIMUM, branch)
 
 
 class TestScatteringTime:

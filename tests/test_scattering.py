@@ -1,5 +1,6 @@
 import contextlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import scatmap.scattering as sc
-from scatmap import ModelParams
+from scatmap import ModelParams, alpha, beta
 from scatmap.crests import CrestBranch, critical_actions, tangency_points, theta_of_psi, xi
 from scatmap.errors import (
     BranchUnavailable,
@@ -123,16 +124,18 @@ def ref_grad(params, I, ts):
     return d_i, d_theta
 
 
-def crossing_lists(params, I, phi, s, crest):
-    """The kernel's crossings of each point, as one sorted list per point."""
+def crossing_lists(params, I, phi, s, crest, scan=False):
+    """The kernel's crossings of each point, as one sorted list per point;
+    with scan, every point goes to the scan (none is bisected)."""
     I, phi, s = sc._points(I, phi, s)
     a, = sc._per_action(params, I, crest_coefficient)
-    point, sigma = sc._crossings(a, I, phi, s, crest)
+    one = np.zeros(len(I), dtype=bool) if scan else sc._one_crossing(params, I, phi, s, crest)
+    point, sigma = sc._crossings(a, I, phi, s, crest, one)
     return [sigma[point == k].tolist() for k in range(len(I))]
 
 
-def assert_same_roots(params, I, phi, s, crest):
-    got = crossing_lists(params, I, phi, s, crest)
+def assert_same_roots(params, I, phi, s, crest, scan=False):
+    got = crossing_lists(params, I, phi, s, crest, scan)
     want = [ref_crossings(params, float(i), float(p), float(q), crest)
             for i, p, q in zip(I, phi, s)]
     assert got == want
@@ -151,6 +154,13 @@ def recorded_fills():
 
     with mock.patch.object(sc, "_fill", recorded):
         yield deltas
+
+
+@pytest.fixture
+def scan_only(monkeypatch):
+    """Every segment goes to the scan: none passes the one-crossing test."""
+    monkeypatch.setattr(sc, "_one_crossing",
+                        lambda params, I, *rest: np.zeros(len(I), dtype=bool))
 
 
 def as_mu(mu):
@@ -192,6 +202,42 @@ def table_batches(draw):
             s.append(float(point[1]))
     order = rng.permutation(len(I)).tolist()
     return (mu, crest, *([v[j] for j in order] for v in (I, phi, s)))
+
+
+def check_refinement_paths(mu, n, scan, monkeypatch):
+    """n random segments at mu, scanned (scan) or as the kernel routes them:
+    a block with fewer than _LOCKSTEP_MIN brackets refines them with the
+    brentq loop, a larger one in exactly one brentq_many call."""
+    lockstep, looped = [], []   # the block of each lane, per call
+    many, one = sc.brentq_many, sc.brentq
+
+    def counted_many(f, a, b, args, **kw):
+        lockstep.append([block[v] for v in args[1].tolist()])
+        return many(f, a, b, args=args, **kw)
+
+    def counted_one(f, a, b, args, **kw):
+        looped.append(block[args[1]])
+        return one(f, a, b, args=args, **kw)
+
+    monkeypatch.setattr(sc, "brentq_many", counted_many)
+    monkeypatch.setattr(sc, "brentq", counted_one)
+    rng = np.random.default_rng(n)
+    I = rng.uniform(-3.5, 3.5, n)
+    I = I[np.abs(np.abs([crest_coefficient(as_mu(mu), v) for v in I]) - 1.0) > 1e-9]
+    phi, s = rng.uniform(0.0, TWO_PI, len(I)), rng.uniform(-1.0, 1.0, len(I))
+    block = {v: k // sc._BLOCK for k, v in enumerate(phi.tolist())}
+    assert len(block) == len(phi)   # phi tells the point, hence its block
+    assert_same_roots(as_mu(mu), I.tolist(), phi.tolist(), s.tolist(), MAX, scan)
+    # each call holds one block's brackets, each block's go to one path
+    assert all(len(set(blocks)) == 1 and len(blocks) >= sc._LOCKSTEP_MIN
+               for blocks in lockstep)
+    stepped = [blocks[0] for blocks in lockstep]
+    assert len(set(stepped)) == len(stepped)
+    assert not set(stepped) & set(looped)
+    assert all(looped.count(b) < sc._LOCKSTEP_MIN for b in set(looped))
+    assert bool(lockstep) == (n > sc._LOCKSTEP_MIN)
+    if n > 2 * sc._BLOCK:
+        assert {0, 1} <= set(stepped)
 
 
 def crossing_residual(params, I, ts):
@@ -276,7 +322,7 @@ class TestCrossingKernel:
         # fill their scan from sine tables and still give the reference roots
         mu, crest, I, phi, s = batch
         with recorded_fills() as deltas:
-            assert_same_roots(as_mu(mu), I, phi, s, crest)
+            assert_same_roots(as_mu(mu), I, phi, s, crest, scan=True)
         assert max(deltas) > 0.0
 
     @given(st.floats(-1e4, 1e4), st.floats(-10.0, 10.0),
@@ -313,15 +359,15 @@ class TestCrossingKernel:
                 I = np.append(I, np.full(2 * len(delta), act))
                 phi = np.concatenate([phi, info.theta1 - delta, info.theta2 + delta])
         with recorded_fills() as deltas:
-            got = crossing_lists(p, I, phi, 0.0, crest)
+            got = crossing_lists(p, I, phi, 0.0, crest, scan=True)
         assert min(deltas) > 0.0 and len(deltas) == math.ceil(len(I) / sc._CHUNK)
         monkeypatch.setattr(sc, "_TABLE_MIN", len(I) + 1)
-        assert crossing_lists(p, I, phi, 0.0, crest) == got
+        assert crossing_lists(p, I, phi, 0.0, crest, scan=True) == got
 
-    def test_table_selection(self, p09):
-        # a batch of one is filled with sines; a 400-cell grid row (a 256-point
-        # chunk and a 144-point one) from sine tables, and so is every chunk
-        # of the error-bound constants' stencil
+    def test_table_selection(self, p09, scan_only):
+        # every point scanned: a batch of one is filled with sines; a 400-cell
+        # grid row (a 256-point chunk and a 144-point one) from sine tables,
+        # and so is every chunk of the error-bound constants' stencil
         from scatmap.diffusion import _region_constants
         from scatmap.gridkernels import reduced_poincare_grid
         with recorded_fills() as deltas:
@@ -361,38 +407,7 @@ class TestCrossingKernel:
     @pytest.mark.parametrize("mu", MUS)
     @pytest.mark.parametrize("n", [3, 300, 2 * sc._BLOCK + 37])
     def test_both_refinement_paths(self, mu, n, monkeypatch):
-        # a block with fewer than _LOCKSTEP_MIN brackets refines them with
-        # the brentq loop, a larger one in exactly one brentq_many call
-        lockstep, looped = [], []   # the block of each lane, per call
-        many, one = sc.brentq_many, sc.brentq
-
-        def counted_many(f, a, b, args, **kw):
-            lockstep.append([block[v] for v in args[1].tolist()])
-            return many(f, a, b, args=args, **kw)
-
-        def counted_one(f, a, b, args, **kw):
-            looped.append(block[args[1]])
-            return one(f, a, b, args=args, **kw)
-
-        monkeypatch.setattr(sc, "brentq_many", counted_many)
-        monkeypatch.setattr(sc, "brentq", counted_one)
-        rng = np.random.default_rng(n)
-        I = rng.uniform(-3.5, 3.5, n)
-        I = I[np.abs(np.abs([crest_coefficient(as_mu(mu), v) for v in I]) - 1.0) > 1e-9]
-        phi, s = rng.uniform(0.0, TWO_PI, len(I)), rng.uniform(-1.0, 1.0, len(I))
-        block = {v: k // sc._BLOCK for k, v in enumerate(phi.tolist())}
-        assert len(block) == len(phi)   # phi tells the point, hence its block
-        assert_same_roots(as_mu(mu), I.tolist(), phi.tolist(), s.tolist(), MAX)
-        # each call holds one block's brackets, each block's go to one path
-        assert all(len(set(blocks)) == 1 and len(blocks) >= sc._LOCKSTEP_MIN
-                   for blocks in lockstep)
-        stepped = [blocks[0] for blocks in lockstep]
-        assert len(set(stepped)) == len(stepped)
-        assert not set(stepped) & set(looped)
-        assert all(looped.count(b) < sc._LOCKSTEP_MIN for b in set(looped))
-        assert bool(lockstep) == (n > sc._LOCKSTEP_MIN)
-        if n > 2 * sc._BLOCK:
-            assert {0, 1} <= set(stepped)
+        check_refinement_paths(mu, n, True, monkeypatch)
 
     def test_scalar_arguments(self, p09):
         # a batch of one, as tau_star_full and scattering_branches make
@@ -495,11 +510,134 @@ def test_close_roots_merge():
     I, s0 = 20.0, float(sc._scan_samples(MAX)[88])
     a = math.hypot(math.sin(s0), math.cos(s0) / I)   # c(s0) = c'(s0) = 0
     phi = math.atan2(-math.sin(s0) / a, -math.cos(s0) / (a * I)) - I * s0
+    # the segment is tangent, so it is scanned
     point, sigma = sc._crossings(np.array([a]), np.array([I]), np.array([phi]),
-                                 np.zeros(1), MAX)
+                                 np.zeros(1), MAX, np.zeros(1, dtype=bool))
     assert (point == 0).all()
     assert np.diff(sigma).min() > 1e-10
     assert np.abs(sigma - s0).min() <= 1e-10
+
+
+SIGNED_MUS = (*MUS, *(-mu for mu in MUS), 0.75, -1.2)
+
+
+def unit_actions(mu):
+    """The actions I > 0 with |mu|*alpha(I) = 1 (the crest turns vertical)
+    or |mu|*beta(I) = 1 (a tangency appears)."""
+    grid = np.linspace(0.05, 8.0, 800)
+    roots = []
+    for f in (lambda x: abs(mu) * alpha(x) - 1.0, lambda x: abs(mu) * beta(x) - 1.0):
+        v = [f(x) for x in grid]
+        roots += [brentq(f, grid[j], grid[j + 1], xtol=1e-15)
+                  for j in range(len(grid) - 1) if v[j] * v[j + 1] < 0.0]
+    return roots
+
+
+@st.composite
+def edge_batches(draw):
+    """(mu, crest, I, phi, s): a batch of one, two, _LOCKSTEP_MIN or 150
+    segments in all three regimes and both signs of mu.  Each is uniform
+    (s in the window), at an action within 1e-15 to 1e-3 (relative) of
+    |mu|*alpha = 1 or |mu|*beta = 1, or at s = 0 with a label within 1e-14 to
+    1e-2 of an edge of the crest's tangency band: the maximum crest's at mu,
+    for the minimum crest the maximum crest's at -mu, shifted by I*pi."""
+    mu, crest = draw(st.sampled_from(SIGNED_MUS)), draw(st.sampled_from([MAX, MIN]))
+    n = draw(st.sampled_from([1, 2, sc._LOCKSTEP_MIN, 150]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = unit_actions(mu)
+    band = as_mu(mu if crest is MAX else -mu)
+    shift = 0.0 if crest is MAX else math.pi
+    I, phi, s = [], [], []
+    while len(I) < n:
+        kind, sign = rng.integers(3), rng.choice([-1.0, 1.0])
+        if kind == 0 and edges:
+            act = sign * rng.choice(edges) * (1.0 + rng.choice([-1.0, 1.0])
+                                              * 10.0 ** rng.uniform(-15.0, -3.0))
+            point = act, rng.uniform(0.0, TWO_PI), 0.0
+        elif kind == 1 and (info := tangency_points(band, act := sign * rng.uniform(0.5, 3.5))):
+            edge = rng.choice([info.theta1, info.theta2])
+            label = edge + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -2.0)
+            point = act, label - act * shift, 0.0
+        else:
+            point = (rng.uniform(-3.5, 3.5), rng.uniform(0.0, TWO_PI),
+                     rng.uniform(-math.pi / 2.0, 1.5 * math.pi))
+        I.append(float(point[0]))
+        phi.append(float(point[1]))
+        s.append(float(point[2]))
+    return mu, crest, I, phi, s
+
+
+def one_crossing(params, I, phi, s, crest):
+    return sc._one_crossing(params, *sc._points(I, phi, s), crest).tolist()
+
+
+class TestOneCrossing:
+    """Segments that cross once are bisected over the scan's samples and
+    give the reference scan's root, bit for bit."""
+
+    @given(edge_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_bisection_matches_reference(self, batch):
+        # where the test holds the reference finds exactly one root, and the
+        # kernel gives every point the reference's roots
+        mu, crest, I, phi, s = batch
+        p = as_mu(mu)
+        got = assert_same_roots(p, I, phi, s, crest)
+        one = one_crossing(p, I, phi, s, crest)
+        assert all(len(roots) == 1 for roots, lone in zip(got, one) if lone)
+
+    @pytest.mark.parametrize("mu", [*MUS, *(-mu for mu in MUS)])
+    @pytest.mark.parametrize("crest", [MAX, MIN])
+    def test_share(self, mu, crest):
+        # every segment crosses once in the single-map regime; band labels
+        # and vertical crests are scanned
+        p = as_mu(mu)
+        I = np.repeat(np.linspace(-3.5, 3.5, 71), 40)
+        phi = np.tile(np.linspace(0.0, TWO_PI, 40, endpoint=False), 71)
+        one = np.array(one_crossing(p, I, phi, 0.0, crest))
+        a = np.array([crest_coefficient(p, v) for v in I])
+        assert not one[np.abs(a) >= 1.0].any()
+        assert one.all() if abs(mu) == 0.6 else 0.0 < one.mean() < 1.0
+
+    @given(edge_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_branches_agree_on_one_crossing(self, batch):
+        # a lone crossing lies in every branch's psi-domain, which is why
+        # _primary skips the branch filter for it
+        mu, _, I, phi, s = batch
+        p = as_mu(mu)
+        for k in np.flatnonzero(one_crossing(p, I, phi, s, MAX)).tolist():
+            single = ref_tau_star(p, I[k], phi[k], s[k])
+            for branch in (sc.Branch.A, sc.Branch.B, sc.Branch.C):
+                assert ref_tau_star(p, I[k], phi[k], s[k], MAX, branch) == replace(
+                    single, branch=branch)
+
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("n", [3, 300, 2 * sc._BLOCK + 37])
+    def test_bisected_refinement_paths(self, mu, n, monkeypatch):
+        check_refinement_paths(mu, n, False, monkeypatch)
+
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("crest_branch", CREST_BRANCHES)
+    def test_mu_flip(self, mu, crest_branch):
+        # c at -mu and phi is c at mu and phi + pi: the same crossing, psi
+        # moved by pi, on every branch (the branch domains move with psi).
+        # Horizontal crests only: a vertical one keeps its cos(psi) > 0
+        # component (the maximum crest's), which the flip does not map
+        crest, branch = crest_branch
+        rng = np.random.default_rng(17)
+        I, phi = rng.uniform(-3.5, 3.5, 2000), rng.uniform(0.0, TWO_PI, 2000)
+        s = rng.uniform(-1.0, 1.0, 2000)
+        I = I[np.abs([crest_coefficient(as_mu(mu), v) for v in I]) < 1.0 - 1e-6]
+        phi, s = phi[:len(I)], s[:len(I)]
+        flip = sc._primary(as_mu(-mu), I, phi, s, crest, branch)
+        base = sc._primary(as_mu(mu), I, phi + math.pi, s, crest, branch)
+        ok = base[3] == sc._OK
+        assert (flip[3] == base[3]).all() and ok.mean() > 0.5
+        for x, y in ((flip[0], base[0]), (flip[2], base[2])):
+            assert np.abs(x[ok] - y[ok]).max() <= 1e-12
+        turn = np.abs(np.remainder(flip[1][ok] - base[1][ok] + math.pi + 1.0, TWO_PI) - 1.0)
+        assert turn.max() <= 1e-12
 
 
 class TestPrimary:
@@ -808,6 +946,16 @@ class TestBranches:
         info = tangency_points(p09, 1.5)
         bs = sc.scattering_branches(p09, 1.5, wrap_angle(info.theta1 + 0.5))
         assert bs.available == (sc.Branch.SINGLE,)
+
+    def test_band_across_zero_at_negative_mu(self):
+        # at mu < 0 the band [theta2, theta1] holds theta = 0: labels on
+        # either side of 0 are in it
+        p = as_mu(-0.9)
+        info = tangency_points(p, 2.4)
+        assert info.theta2 < 0.0 < info.theta1
+        for theta in (0.5 * info.theta2 + TWO_PI, 0.5 * info.theta1):
+            assert len(sc.scattering_branches(p, 2.4, theta).available) == 3
+        assert sc.scattering_branches(p, 2.4, info.theta1 + 0.5).available == (sc.Branch.SINGLE,)
 
     def test_empty_in_hole(self, p15):
         assert sc.scattering_branches(p15, 1.0, math.pi).available == ()
